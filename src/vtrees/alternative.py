@@ -27,14 +27,16 @@ neighborhood, so it has an atom among those finitely many points.  Scanning
 their orbits is therefore a complete finite-orbit search in that branch; see
 docs/dynamics_notes.md for the full argument.
 
-Budgets bound every search; exhausting them yields an Undecided verdict
-carrying the frontier state, never a wrong certificate.
+Budgets bound every search; exhausting them, or one of the fixed search
+caps (``BudgetExceeded``), yields an Undecided verdict carrying the frontier
+state, never a wrong certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import tee
 from typing import Iterable, Sequence
 
 from .treespace import (
@@ -43,14 +45,16 @@ from .treespace import (
     TypeGraph,
     epsilon_neighborhood,
     eps_exponent,
+    eventually_periodic_witness,
 )
 from .element import Element, compose, identity
-from .revealing import DynamicsReport, dynamics
+from .revealing import BudgetExceeded, DynamicsReport, dynamics
 from .subgroup import (
     Budgets,
     GeneratingSet,
     Orbit,
     Word,
+    _orbit_search,
     enumerate_elements,
     orbit,
     restrict,
@@ -74,21 +78,21 @@ def stable_intersection(hs: Sequence[Element],
     case well-typed (it is required only when ``hs`` is empty).
     """
     hs = list(hs)
-    if not hs:
-        if tg is None:
+    if tg is None:
+        if not hs:
             raise ValueError("an empty intersection needs an explicit type graph")
-        return ClopenSet.full(tg)
-    out = ClopenSet.full(hs[0].tg)
-    for h in hs:
-        out = out.intersect(stable_set(h))
-    return out
-
-
-def stable_intersection_over(tg: TypeGraph, hs: Sequence[Element]) -> ClopenSet:
+        tg = hs[0].tg
     out = ClopenSet.full(tg)
     for h in hs:
         out = out.intersect(stable_set(h))
     return out
+
+
+def _hyperbolic_points(reports: Iterable[DynamicsReport]) -> list:
+    """The hyperbolic periodic points of all the reports, sorted."""
+    return sorted({p for rep in reports
+                   for p in rep.attracting_periodic + rep.repelling_periodic},
+                  key=lambda p: p.sort_key())
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +172,7 @@ def proximal_contraction(hs: Sequence[Element], eps: Fraction,
     if not inter.is_empty():
         raise ValueError("the stable parts have nonempty intersection: "
                          f"{inter.ball_strs()}")
-    b_points = sorted({p for rep in reports
-                       for p in rep.attracting_periodic + rep.repelling_periodic},
-                      key=lambda p: p.sort_key())
+    b_points = _hyperbolic_points(reports)
     if not b_points:
         raise ValueError("degenerate input: no hyperbolic periodic points "
                          "although the stable parts have empty intersection")
@@ -220,7 +222,8 @@ def proximal_contraction(hs: Sequence[Element], eps: Fraction,
         # left by the earlier stages and retry
         for j in range(failed_at):
             minimums[j] *= 2
-    raise RuntimeError("contraction search did not converge within the round cap")
+    raise BudgetExceeded("contraction search did not converge within the "
+                         f"round cap _ROUND_CAP = {_ROUND_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +234,14 @@ def neumann_disjoint(s: GeneratingSet, a_points: Iterable[BoundaryPoint],
                      b_points: Iterable[BoundaryPoint], budget: int):
     """First element (in enumeration order) mapping the finite set A off the
     finite set B; None when the budget is exhausted."""
+    return _first_moving_off(enumerate_elements(s, budget), a_points, b_points)
+
+
+def _first_moving_off(elements: Iterable[tuple], a_points, b_points):
+    """``neumann_disjoint`` over given (word, element) pairs."""
     a_points = list(a_points)
     b_set = set(b_points)
-    for word, e in enumerate_elements(s, budget):
+    for word, e in elements:
         if all(e.apply_point(p) not in b_set for p in a_points):
             return word, e
     return None
@@ -315,13 +323,15 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
 
     ``context`` may carry (elements, words, reports) whose stable parts are
     already known to intersect emptily; otherwise the enumeration is run
-    until that happens (or the word budget runs out).
+    until that happens (or the word budget runs out).  That run and both
+    translation searches replay one enumeration.
     """
     tg = s.tg
+    scan, first, second = tee(enumerate_elements(s, budgets.word_length), 3)
     if context is None:
         hs, hw, hr = [], [], []
         inter = ClopenSet.full(tg)
-        for word, e in enumerate_elements(s, budgets.word_length):
+        for word, e in scan:
             rep = dynamics(e)
             if rep.stable.is_all():
                 continue
@@ -336,20 +346,18 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
     else:
         hs, hw, hr = context
 
-    b_points = sorted({p for rep in hr
-                       for p in rep.attracting_periodic + rep.repelling_periodic},
-                      key=lambda p: p.sort_key())
+    b_points = _hyperbolic_points(hr)
     if not b_points:
         return None
 
-    found = neumann_disjoint(s, b_points, b_points, budgets.word_length)
+    found = _first_moving_off(first, b_points, b_points)
     if found is None:
         return None
     u_word, u = found
     a1 = [u.apply_point(p) for p in b_points]
     b1 = list(b_points)
     spread = sorted(set(a1) | set(b1), key=lambda p: p.sort_key())
-    found = neumann_disjoint(s, spread, spread, budgets.word_length)
+    found = _first_moving_off(second, spread, spread)
     if found is None:
         return None
     w_word, w = found
@@ -425,29 +433,6 @@ class DichotomyResult:
     diagnostics: dict | None = None
 
 
-def _try_invariant_branch(s: GeneratingSet, w: ClopenSet, budgets: Budgets):
-    """Finite-orbit search on a nonempty candidate stable core w."""
-    from .treespace import eventually_periodic_witness
-
-    # direct orbit probes from a witness point in each ball
-    for ball in w.balls()[:16]:
-        xi = eventually_periodic_witness(s.tg, ball)
-        res = orbit(xi, s, budgets.orbit_size)
-        if res is not None:
-            return res
-    # equicontinuity certificate: if w is invariant under every generator and
-    # the restricted closure is finite, any witness orbit closes
-    for e in s.elements:
-        if e.apply_clopen(w) != w:
-            return None
-    closure = restricted_closure([restrict(e, w) for e in s.elements],
-                                 budgets.closure_size)
-    if closure is None:
-        return None
-    xi = eventually_periodic_witness(s.tg, w.balls()[0])
-    return orbit(xi, s, max(budgets.orbit_size, len(closure) + 1))
-
-
 def dichotomy(s: GeneratingSet, budgets: Budgets = Budgets()) -> DichotomyResult:
     """Decide, with an exact certificate, whether the subgroup has a finite
     orbit or admits a ping-pong pair; Undecided only on budget exhaustion.
@@ -456,79 +441,117 @@ def dichotomy(s: GeneratingSet, budgets: Budgets = Budgets()) -> DichotomyResult
     While the intersection is nonempty it looks for finite orbits inside it;
     as soon as it is verifiably empty, the orbits of the accumulated
     hyperbolic periodic points form a complete finite-orbit search, dovetailed
-    against the ping-pong construction.
+    against the ping-pong construction.  A search that reaches one of its
+    fixed caps (``BudgetExceeded``) also ends in Undecided, naming the cap.
     """
-    tg = s.tg
-    steps = 0
-    inter = ClopenSet.full(tg)
-    contributors: list = []
-    last_checked = None
-    scanned = 0
+    run = _Run(s, budgets)
+    try:
+        return run.decide()
+    except BudgetExceeded as e:
+        return run.undecided(str(e))
 
-    for word, e in enumerate_elements(s, budgets.word_length):
-        steps += 1
-        scanned += 1
-        if steps > budgets.dovetail_steps:
-            return DichotomyResult("undecided", diagnostics=_diag(
-                s, budgets, scanned, inter, contributors,
-                reason="dovetail step budget exhausted"))
-        rep = dynamics(e)
-        if not rep.stable.is_all():
-            contributors.append((word, e, rep))
-            inter = inter.intersect(rep.stable)
-        if inter.is_empty():
-            return _empty_core_branch(s, budgets, contributors, scanned)
-        if inter != last_checked:
-            last_checked = inter
-            res = _try_invariant_branch(s, inter, budgets)
+
+class _Run:
+    """One ``dichotomy`` call: the points whose orbits overflowed, and the
+    frontier that an undecided verdict reports."""
+
+    def __init__(self, s: GeneratingSet, budgets: Budgets):
+        self.s = s
+        self.budgets = budgets
+        self.overflowed: set = set()
+        self.scanned = 0
+        self.inter = ClopenSet.full(s.tg)
+        self.contributors: list = []
+        self.candidates: list = []
+
+    def probe(self, xi: BoundaryPoint) -> Orbit | None:
+        """``orbit(xi, s, orbit_size)``.  A point reached by an earlier
+        search that overflowed has that same orbit, so it is not searched
+        again (docs/dynamics_notes.md, section 3)."""
+        if xi in self.overflowed:
+            return None
+        res, reached = _orbit_search(xi, self.s, self.budgets.orbit_size)
+        if res is None:
+            self.overflowed.update(reached)
+        return res
+
+    def decide(self) -> DichotomyResult:
+        last_checked = None
+        for word, e in enumerate_elements(self.s, self.budgets.word_length):
+            self.scanned += 1
+            if self.scanned > self.budgets.dovetail_steps:
+                return self.undecided("dovetail step budget exhausted")
+            rep = dynamics(e)
+            if not rep.stable.is_all():
+                self.contributors.append((word, e, rep))
+                self.inter = self.inter.intersect(rep.stable)
+            if self.inter.is_empty():
+                return self.empty_core_branch()
+            # the invariant branch depends only on the core, and it has
+            # already failed on the last core it was given
+            if self.inter != last_checked:
+                last_checked = self.inter
+                res = self.invariant_branch(self.inter)
+                if res is not None:
+                    return DichotomyResult("finite-orbit", orbit=res)
+        return self.undecided("word budget exhausted without a verified certificate")
+
+    def invariant_branch(self, w: ClopenSet) -> Orbit | None:
+        """Finite-orbit search on a nonempty candidate stable core w."""
+        s, budgets = self.s, self.budgets
+        # direct orbit probes from a witness point in each ball
+        for ball in w.balls()[:16]:
+            res = self.probe(eventually_periodic_witness(s.tg, ball))
+            if res is not None:
+                return res
+        # equicontinuity certificate: if w is invariant under every generator
+        # and the restricted closure is finite, any witness orbit closes.  The
+        # first probe overflowed at a point of w; for invariant w its orbit
+        # is an orbit of the restricted group, which therefore has more than
+        # orbit_size elements and fits no closure_size <= orbit_size
+        # (docs/dynamics_notes.md, section 3).
+        if budgets.closure_size <= budgets.orbit_size:
+            return None
+        for e in s.elements:
+            if e.apply_clopen(w) != w:
+                return None
+        closure = restricted_closure([restrict(e, w) for e in s.elements],
+                                     budgets.closure_size)
+        if closure is None:
+            return None
+        xi = eventually_periodic_witness(s.tg, w.balls()[0])
+        return orbit(xi, s, max(budgets.orbit_size, len(closure) + 1))
+
+    def empty_core_branch(self) -> DichotomyResult:
+        hs = [e for _, e, _ in self.contributors]
+        hw = [w for w, _, _ in self.contributors]
+        hr = [r for _, _, r in self.contributors]
+        self.candidates = _hyperbolic_points(hr)
+        # complete finite-orbit scan: an invariant measure would have an atom
+        # in the hyperbolic point set (see module docstring)
+        for xi in self.candidates:
+            res = self.probe(xi)
             if res is not None:
                 return DichotomyResult("finite-orbit", orbit=res)
-    if not inter.is_empty():
-        res = _try_invariant_branch(s, inter, budgets)
-        if res is not None:
-            return DichotomyResult("finite-orbit", orbit=res)
-    return DichotomyResult("undecided", diagnostics=_diag(
-        s, budgets, scanned, inter, contributors,
-        reason="word budget exhausted without a verified certificate"))
+        witness = build_pingpong(self.s, self.budgets, context=(hs, hw, hr))
+        if witness is not None:
+            return DichotomyResult("ping-pong", witness=witness)
+        return self.undecided(
+            "stable parts empty but neither branch verified in budget")
 
-
-def _empty_core_branch(s: GeneratingSet, budgets: Budgets, contributors,
-                       scanned: int) -> DichotomyResult:
-    tg = s.tg
-    hs = [e for _, e, _ in contributors]
-    hw = [w for w, _, _ in contributors]
-    hr = [r for _, _, r in contributors]
-    b_points = sorted({p for r in hr
-                       for p in r.attracting_periodic + r.repelling_periodic},
-                      key=lambda p: p.sort_key())
-    # complete finite-orbit scan: an invariant measure would have an atom in
-    # the hyperbolic point set (see module docstring)
-    for xi in b_points:
-        res = orbit(xi, s, budgets.orbit_size)
-        if res is not None:
-            return DichotomyResult("finite-orbit", orbit=res)
-    witness = build_pingpong(s, budgets, context=(hs, hw, hr))
-    if witness is not None:
-        return DichotomyResult("ping-pong", witness=witness)
-    return DichotomyResult("undecided", diagnostics=_diag(
-        s, budgets, scanned, ClopenSet.empty(tg), contributors,
-        reason="stable parts empty but neither branch verified in budget",
-        candidates=b_points))
-
-
-def _diag(s: GeneratingSet, budgets: Budgets, scanned: int, inter: ClopenSet,
-          contributors, reason: str, candidates=()) -> dict:
-    return {
-        "reason": reason,
-        "elements_scanned": scanned,
-        "stable_intersection": inter.ball_strs(),
-        "contributor_words": [word_str(w) for w, _, _ in contributors],
-        "candidate_points": [str(p) for p in candidates],
-        "budgets": {
-            "word_length": budgets.word_length,
-            "orbit_size": budgets.orbit_size,
-            "expansion_depth": budgets.expansion_depth,
-            "dovetail_steps": budgets.dovetail_steps,
-            "closure_size": budgets.closure_size,
-        },
-    }
+    def undecided(self, reason: str) -> DichotomyResult:
+        b = self.budgets
+        return DichotomyResult("undecided", diagnostics={
+            "reason": reason,
+            "elements_scanned": self.scanned,
+            "stable_intersection": self.inter.ball_strs(),
+            "contributor_words": [word_str(w) for w, _, _ in self.contributors],
+            "candidate_points": [str(p) for p in self.candidates],
+            "budgets": {
+                "word_length": b.word_length,
+                "orbit_size": b.orbit_size,
+                "expansion_depth": b.expansion_depth,
+                "dovetail_steps": b.dovetail_steps,
+                "closure_size": b.closure_size,
+            },
+        })

@@ -41,6 +41,7 @@ from .element import (
     random_element,
 )
 from .revealing import (
+    BudgetExceeded,
     HypCertificate,
     RevealingPair,
     chains,
@@ -71,7 +72,7 @@ from .alternative import (
     dichotomy,
     free_group_smoke,
     proximal_contraction,
-    stable_intersection_over,
+    stable_intersection,
     stable_set,
     verify_pingpong,
 )
@@ -409,7 +410,7 @@ def _cmd_stable(session, args):
              f"stable part: {c.ball_strs()}")
         return EXIT_OK
     s = _need_gens(tg, args)
-    c = stable_intersection_over(tg, s.elements)
+    c = stable_intersection(s.elements, tg)
     emit(session, {"command": "stable", "stable_intersection": clopen_json(c)},
          f"stable intersection: {c.ball_strs()}")
     return EXIT_OK
@@ -639,6 +640,9 @@ def main(argv=None) -> int:
     except ValueError as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
+    except BudgetExceeded as e:
+        sys.stderr.write(f"budget exhausted: {e}\n")
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -60,6 +60,13 @@ from .element import (
 CHAIN_KINDS = ("attracting", "repelling", "periodic", "wandering", "mixed")
 
 
+class BudgetExceeded(RuntimeError):
+    """A search ran into one of its fixed caps; the message names the cap.
+
+    Running out of a cap is an answer (the dichotomy driver reports
+    ``undecided``, the CLI exits 2), never a wrong result."""
+
+
 @dataclass(frozen=True)
 class Chain:
     """A maximal orbit of the leaf bijection, with its classification.
@@ -295,7 +302,8 @@ def _bfs_reveal(pair: TreePair) -> TreePair:
                 seen.add(k)
                 queue.append(p2)
                 if len(seen) > _BFS_NODE_CAP:
-                    raise RuntimeError("revealing-pair search exceeded the node cap")
+                    raise BudgetExceeded("revealing-pair search exceeded the node "
+                                         f"cap _BFS_NODE_CAP = {_BFS_NODE_CAP}")
     raise AssertionError("expansion search exhausted, which cannot happen")
 
 

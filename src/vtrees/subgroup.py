@@ -235,18 +235,19 @@ class EllipticityReport:
 def all_elliptic_or_witness(s: GeneratingSet, budget: int) -> EllipticityReport:
     """First non-elliptic element in enumeration order, or an exhaustion
     report stating that everything up to the budget is elliptic."""
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     checked = 0
-    count_at_budget = 0
-    gen = enumerate_elements(s, budget)
-    for word, e in gen:
+    # one length further tells a finite closure (no longer element exists)
+    # from a budget cut
+    for word, e in enumerate_elements(s, budget + 1):
+        if len(word) > budget:
+            return EllipticityReport(True, None, None, checked, budget,
+                                     exhausted=False)
         checked += 1
         if not revealing.is_elliptic(e):
             return EllipticityReport(False, e, word, checked, budget, False)
-    # enumeration ended: either the closure is finite (frontier emptied) or
-    # the budget cut it off; rerun one length further to tell which
-    longer = sum(1 for _ in enumerate_elements(s, budget + 1))
-    return EllipticityReport(True, None, None, checked, budget,
-                             exhausted=(longer == checked))
+    return EllipticityReport(True, None, None, checked, budget, exhausted=True)
 
 
 @dataclass(frozen=True)
@@ -364,6 +365,13 @@ class Orbit:
 def orbit(x: BoundaryPoint, s: GeneratingSet, bound: int) -> Orbit | None:
     """The orbit of x under the subgroup if it has at most ``bound`` points,
     else None.  Exact point arithmetic throughout."""
+    return _orbit_search(x, s, bound)[0]
+
+
+def _orbit_search(x: BoundaryPoint, s: GeneratingSet, bound: int) -> tuple:
+    """(orbit, None) as ``orbit`` finds it, or (None, the points reached)
+    when the orbit has more than ``bound`` points.  Every point reached lies
+    in x's orbit, so each of them has the same too-large orbit."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if x.tg != s.tg:
@@ -379,11 +387,11 @@ def orbit(x: BoundaryPoint, s: GeneratingSet, bound: int) -> Orbit | None:
             z = le.apply_point(y)
             if z not in words:
                 if len(words) >= bound:
-                    return None
+                    return None, words.keys()
                 words[z] = (letter,) + words[y]
                 queue.append(z)
     pts = tuple(sorted(words, key=lambda p: p.sort_key()))
-    return Orbit(x, pts, words)
+    return Orbit(x, pts, words), None
 
 
 # ---------------------------------------------------------------------------

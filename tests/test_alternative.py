@@ -322,3 +322,94 @@ def test_dichotomy_deterministic(v_gens):
     assert a.witness.g == b.witness.g and a.witness.h == b.witness.h
     assert a.witness.u1 == b.witness.u1 and a.witness.v2 == b.witness.v2
     assert a.witness.g_word == b.witness.g_word
+
+
+# ---------------------------------------------------------------------------
+# The closure certificate and the hidden caps
+
+
+def test_closure_certificate_finds_orbit_above_orbit_budget(sigma):
+    # every probe overflows an orbit budget of 1, but the closure of <sigma>
+    # has 2 elements, so the certificate closes the witness orbit
+    s = GeneratingSet([sigma], ["sigma"])
+    res = dichotomy(s, Budgets(orbit_size=1, closure_size=4))
+    assert res.verdict == "finite-orbit"
+    assert [str(p) for p in res.orbit.points] == ["(0)^inf", "1(0)^inf"]
+    res = dichotomy(s, Budgets(orbit_size=1, closure_size=1))
+    assert res.verdict == "undecided"
+
+
+def _closure_certificate(s, w, budgets):
+    """The certificate step after failed probes, as the driver ran it
+    before it skipped the step for closure_size <= orbit_size."""
+    from vtrees import eventually_periodic_witness, restrict, restricted_closure
+    if any(e.apply_clopen(w) != w for e in s.elements):
+        return None
+    closure = restricted_closure([restrict(e, w) for e in s.elements],
+                                 budgets.closure_size)
+    if closure is None:
+        return None
+    xi = eventually_periodic_witness(s.tg, w.balls()[0])
+    return orbit(xi, s, max(budgets.orbit_size, len(closure) + 1))
+
+
+def test_closure_certificate_cannot_succeed_within_orbit_budget(binary, wide):
+    # docs/dynamics_notes.md section 3: once the probe at the witness of
+    # w's first ball overflows orbit_size, the certificate fails for every
+    # closure_size <= orbit_size; the driver therefore skips it
+    from vtrees import eventually_periodic_witness, is_elliptic, random_element
+    rng = random.Random(11)
+    reached = certified = 0
+    for trial in range(16):
+        tg = (binary, wide)[trial % 2]
+        gens = []
+        while len(gens) < 2:
+            e = random_element(tg, rng.randint(2, 4), rng)
+            if is_elliptic(e) and not e.is_identity():
+                gens.append(e)
+        s = GeneratingSet(gens, ["a", "b"])
+        cores = [ClopenSet.full(tg), stable_intersection(gens)]
+        for w in cores:
+            if w.is_empty():
+                continue
+            xi = eventually_periodic_witness(tg, w.balls()[0])
+            for orbit_size in (1, 2, 3, 5, 8):
+                if orbit(xi, s, orbit_size) is not None:
+                    continue  # the probe closes; the certificate is not reached
+                reached += 1
+                for closure_size in (1, orbit_size):
+                    assert _closure_certificate(
+                        s, w, Budgets(orbit_size=orbit_size,
+                                      closure_size=closure_size)) is None
+                certified += _closure_certificate(
+                    s, w, Budgets(orbit_size=orbit_size,
+                                  closure_size=32)) is not None
+    # the sweep reaches the step, and a larger closure budget does certify
+    assert reached >= 60 and certified >= 10
+
+
+def test_round_cap_ends_in_undecided(v_gens, monkeypatch):
+    import vtrees.alternative as alternative
+    from vtrees import BudgetExceeded
+    monkeypatch.setattr(alternative, "_ROUND_CAP", 0)
+    with pytest.raises(BudgetExceeded):
+        proximal_contraction(list(v_gens.elements)[:1], Fraction(1, 4))
+    res = dichotomy(v_gens)
+    assert res.verdict == "undecided"
+    assert "_ROUND_CAP" in res.diagnostics["reason"]
+    assert res.diagnostics["candidate_points"] == ["(0)^inf", "(1)^inf"]
+
+
+def test_bfs_node_cap_ends_in_undecided(x0, x1, sigma, monkeypatch):
+    import vtrees.revealing as revealing
+    from vtrees import BudgetExceeded
+    # x1*sigma is not revealing as reduced; with no rolling steps allowed its
+    # reveal falls back to the breadth-first search, which exceeds one node
+    monkeypatch.setattr(revealing, "_ROLL_CAP", 0)
+    monkeypatch.setattr(revealing, "_BFS_NODE_CAP", 1)
+    g = compose(x1, sigma)
+    with pytest.raises(BudgetExceeded):
+        dynamics(g)
+    res = dichotomy(GeneratingSet([g, x0], ["g", "x0"]))
+    assert res.verdict == "undecided"
+    assert "_BFS_NODE_CAP" in res.diagnostics["reason"]

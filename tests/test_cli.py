@@ -165,6 +165,20 @@ def test_dichotomy_finite_orbit_and_undecided(files, capsys):
     assert doc["verdict"] == "undecided"
 
 
+def test_search_caps_exit_2(files, capsys, monkeypatch):
+    import vtrees.alternative as alternative
+    monkeypatch.setattr(alternative, "_ROUND_CAP", 0)
+    doc = run_json(["dichotomy", "--tree", str(files / "binary.json"),
+                    "--gens", str(files / "vgens.txt")], capsys, expect=2)
+    assert doc["verdict"] == "undecided"
+    assert "_ROUND_CAP" in doc["diagnostics"]["reason"]
+    xgens = files / "xgens.txt"
+    xgens.write_text(f"x0 = {X0}\n")
+    code, out, err = run_cli(["contract", "--tree", str(files / "binary.json"),
+                              "--gens", str(xgens)], capsys)
+    assert code == 2 and out == "" and "_ROUND_CAP" in err
+
+
 def test_random_element_determinism(files, capsys):
     a = run_json(["random-element", "--tree", str(files / "binary.json"),
                   "--seed", "9", "--size", "4"], capsys)

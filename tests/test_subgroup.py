@@ -135,6 +135,24 @@ def test_all_elliptic_identity(binary):
     assert rep.all_elliptic and rep.exhausted
 
 
+def test_ellipticity_exhaustion_matches_longer_enumeration(sigma, tau, x0):
+    # exhausted means no element of length budget + 1 exists
+    for s in (GeneratingSet([sigma, tau], ["s", "t"]),
+              GeneratingSet([sigma], ["s"]),
+              GeneratingSet([x0.power(2).inverse()], ["y"])):
+        for budget in range(6):
+            rep = all_elliptic_or_witness(s, budget)
+            upto = sum(1 for _ in enumerate_elements(s, budget))
+            longer = sum(1 for _ in enumerate_elements(s, budget + 1))
+            if rep.all_elliptic:
+                assert rep.checked == upto
+                assert rep.exhausted == (longer == upto)
+    assert not all_elliptic_or_witness(
+        GeneratingSet([sigma, tau], ["s", "t"]), 2).exhausted
+    with pytest.raises(ValueError):
+        all_elliptic_or_witness(GeneratingSet([sigma], ["s"]), -1)
+
+
 # ---------------------------------------------------------------------------
 # Finite closure
 
