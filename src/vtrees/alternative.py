@@ -34,7 +34,7 @@ state, never a wrong certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import tee
 from typing import Iterable, Sequence
@@ -540,18 +540,11 @@ class _Run:
             "stable parts empty but neither branch verified in budget")
 
     def undecided(self, reason: str) -> DichotomyResult:
-        b = self.budgets
         return DichotomyResult("undecided", diagnostics={
             "reason": reason,
             "elements_scanned": self.scanned,
             "stable_intersection": self.inter.ball_strs(),
             "contributor_words": [word_str(w) for w, _, _ in self.contributors],
             "candidate_points": [str(p) for p in self.candidates],
-            "budgets": {
-                "word_length": b.word_length,
-                "orbit_size": b.orbit_size,
-                "expansion_depth": b.expansion_depth,
-                "dovetail_steps": b.dovetail_steps,
-                "closure_size": b.closure_size,
-            },
+            "budgets": asdict(self.budgets),
         })

@@ -14,7 +14,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .treespace import (
@@ -36,6 +36,7 @@ from .element import (
     builtin_generators,
     compose,
     format_element,
+    format_pair,
     identity,
     parse_element,
     random_element,
@@ -86,11 +87,8 @@ EXIT_INPUT = 3
 class Session:
     """Everything one invocation runs with; same session, same outputs."""
 
-    type_graph: TypeGraph | None
-    named_elements: dict
     rng_seed: int
     budgets: Budgets
-    threads: int
     fmt: str
 
 
@@ -108,18 +106,13 @@ def chain_json(c) -> dict:
 
 def revealing_json(rp: RevealingPair) -> dict:
     return {
-        "pair": _pair_str(rp.pair),
+        "pair": format_pair(rp.pair),
         "chains": [chain_json(c) for c in rp.chains],
         "attractors": [{"component": address_str(r), "attractor": address_str(a)}
                        for r, a in rp.attractors],
         "repellers": [{"component": address_str(r), "repeller": address_str(a)}
                       for r, a in rp.repellers],
     }
-
-
-def _pair_str(pair) -> str:
-    from .element import format_pair
-    return format_pair(pair)
 
 
 def _eps_str(eps: Fraction) -> str:
@@ -129,7 +122,7 @@ def _eps_str(eps: Fraction) -> str:
 
 def dynamics_json(rep) -> dict:
     return {
-        "pair": _pair_str(rep.pair),
+        "pair": format_pair(rep.pair),
         "chains": [chain_json(c) for c in rep.chains],
         "stable_part": clopen_json(rep.stable),
         "hyperbolic_part": clopen_json(rep.hyperbolic),
@@ -274,11 +267,7 @@ def _need_gens(tg: TypeGraph, args) -> GeneratingSet:
 
 
 def _budgets(args) -> Budgets:
-    return Budgets(word_length=args.budget_words,
-                   orbit_size=args.budget_orbit,
-                   expansion_depth=args.budget_depth,
-                   dovetail_steps=args.budget_steps,
-                   closure_size=args.budget_closure)
+    return Budgets(**{f.name: getattr(args, f.name) for f in fields(Budgets)})
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +600,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", dest="fmt", choices=("json", "text"),
                        default="json")
-        p.add_argument("--budget-words", type=int, default=8)
-        p.add_argument("--budget-orbit", type=int, default=512)
-        p.add_argument("--budget-depth", type=int, default=12)
-        p.add_argument("--budget-steps", type=int, default=10_000)
-        p.add_argument("--budget-closure", type=int, default=512)
+        for flag, f in zip(("words", "orbit", "depth", "steps", "closure"),
+                           fields(Budgets)):
+            p.add_argument(f"--budget-{flag}", dest=f.name, type=int,
+                           default=f.default)
         if name == "apply" or name == "orbit":
             p.add_argument("point", help="boundary point, e.g. 01(0)^inf")
     return parser
@@ -630,8 +618,7 @@ def main(argv=None) -> int:
     if args.threads < 1:
         sys.stderr.write("error: --threads must be >= 1\n")
         return EXIT_INPUT
-    session = Session(type_graph=None, named_elements={}, rng_seed=args.seed,
-                      budgets=_budgets(args), threads=args.threads, fmt=args.fmt)
+    session = Session(rng_seed=args.seed, budgets=_budgets(args), fmt=args.fmt)
     try:
         return _COMMANDS[args.command](session, args)
     except FormatError as e:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .treespace import (
     Address,
@@ -32,6 +32,7 @@ from .treespace import (
     ClopenSet,
     FormatError,
     TypeGraph,
+    _node_graft,
     _node_union,
     address_str,
     boundary_point,
@@ -70,6 +71,23 @@ def shape_at(shape, address: Address):
     return node
 
 
+def leaf_depth(shape, index_at: Callable[[int], int]) -> int:
+    """Depth of the leaf of ``shape`` on the path whose child index at
+    depth n is ``index_at(n)`` (the path must reach that leaf)."""
+    node = shape
+    n = 0
+    while node is not None:
+        node = node[index_at(n)]
+        n += 1
+    return n
+
+
+def interior_vertices(leaves: Iterable[Address]) -> set:
+    """The vertices strictly above some leaf: the interior of the tree whose
+    leaf set is ``leaves``."""
+    return {u[:k] for u in leaves for k in range(len(u))}
+
+
 def shape_from_leaves(tg: TypeGraph, leaves: Iterable[Address], root_type: str):
     """Build and validate the complete-subtree shape with the given leaf set.
 
@@ -82,7 +100,7 @@ def shape_from_leaves(tg: TypeGraph, leaves: Iterable[Address], root_type: str):
     if leaves == [()]:
         return None
     leaf_set = set(leaves)
-    internal = {u[:k] for u in leaves for k in range(len(u))}
+    internal = interior_vertices(leaves)
     clash = leaf_set & internal
     if clash:
         a = min(clash)
@@ -120,8 +138,8 @@ def shape_union(tg: TypeGraph, t: str, a, b):
     if b is None:
         return a
     la, lb = shape_leaves(a), shape_leaves(b)
-    ia = {u[:k] for u in la for k in range(len(u))}
-    ib = {u[:k] for u in lb for k in range(len(u))}
+    ia = interior_vertices(la)
+    ib = interior_vertices(lb)
     sa = set(la)
     leaves = [u for u in la if u not in ib]
     leaves.extend(u for u in lb if u not in ia and u not in sa)
@@ -386,11 +404,7 @@ class Element:
     def apply_point(self, x: BoundaryPoint) -> BoundaryPoint:
         if x.tg != self.tg:
             raise ValueError("point over a different type graph")
-        node = self.pair.domain
-        n = 0
-        while node is not None:
-            node = node[x.index_at(n)]
-            n += 1
+        n = leaf_depth(self.pair.domain, x.index_at)
         u = x.address_prefix(n)
         w = self.pair.leaf_map()[u]
         tail_prefix, tail_cycle = x.drop(n)
@@ -406,7 +420,7 @@ class Element:
             if sub is False:
                 continue
             out = _node_union(tg, tg.root_type, out,
-                              _trie_graft(tg, tg.root_type, w, sub))
+                              _node_graft(tg, tg.root_type, w, sub))
         return ClopenSet(tg, out)
 
     def __call__(self, x):
@@ -422,25 +436,6 @@ def _trie_at(node, address: Address):
         if node is True or node is False:
             return node
         node = node[i]
-    return node
-
-
-def _trie_graft(tg: TypeGraph, t: str, address: Address, sub):
-    if sub is False:
-        return False
-    arities = []
-    cur = t
-    for i in address:
-        cs = tg.children[cur]
-        arities.append(len(cs))
-        cur = cs[i]
-    node = sub
-    for i, a in zip(reversed(address), reversed(arities)):
-        if a == 1:
-            continue
-        kids: list = [False] * a
-        kids[i] = node
-        node = tuple(kids)
     return node
 
 

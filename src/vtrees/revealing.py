@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .treespace import (
     Address,
@@ -53,6 +53,7 @@ from .element import (
     TreePair,
     expand_pair,
     expand_pair_by_shape,
+    interior_vertices,
     make_element,
     shape_at,
 )
@@ -99,21 +100,13 @@ class Chain:
         return f"Chain({path}: {self.kind})"
 
 
-def _tree_vertices(leaves: Iterable[Address]) -> set:
-    out: set = set()
-    for leaf in leaves:
-        for n in range(len(leaf) + 1):
-            out.add(leaf[:n])
-    return out
-
-
 def chains(pair: TreePair) -> tuple:
     """All chains of the pair, each leaf appearing in exactly one."""
     kappa = pair.leaf_map()
     l1 = set(pair.domain_leaves)
     l2 = set(pair.range_leaves)
-    t1_vertices = _tree_vertices(l1)
-    t2_vertices = _tree_vertices(l2)
+    int_t1 = interior_vertices(l1)
+    int_t2 = interior_vertices(l2)
 
     out = []
     visited = set()
@@ -130,7 +123,9 @@ def chains(pair: TreePair) -> tuple:
             kind = "attracting"
         elif is_prefix(un, u0) and u0 != un:
             kind = "repelling"
-        elif u0 not in t2_vertices and un not in t1_vertices:
+        elif u0 not in int_t2 and un not in int_t1:
+            # u0 is no range leaf and un no domain leaf, so off the other
+            # tree's interior each lies strictly below one of its leaves
             kind = "wandering"
         else:
             kind = "mixed"
@@ -153,35 +148,41 @@ def chains(pair: TreePair) -> tuple:
     return tuple(out)
 
 
-def _difference_component_roots(pair: TreePair):
-    """Roots of the components of the two tree differences.
+def _check_components(pair: TreePair, ch) -> tuple:
+    """(violation, certificate) of the revealing condition for the pair with
+    chains ``ch``; exactly one of the two is None.
 
-    Components of domain-minus-range are rooted at range leaves that are
-    interior to the domain tree, and vice versa.
+    Components of range-minus-domain are rooted at domain leaves interior to
+    the range tree, components of domain-minus-range at range leaves
+    interior to the domain tree.  The violation is (side, component root) of
+    the first component without an attractor (those are checked first) or
+    repeller; the certificate is (attractors, repellers) as
+    ``RevealingPair`` stores them, the first one found per component.
     """
-    l1 = set(pair.domain_leaves)
-    l2 = set(pair.range_leaves)
-    int_t1 = _tree_vertices(l1) - l1
-    int_t2 = _tree_vertices(l2) - l2
-    dom_minus_ran = sorted(w for w in l2 if w in int_t1)
-    ran_minus_dom = sorted(w for w in l1 if w in int_t2)
-    return dom_minus_ran, ran_minus_dom
+    attractors = [c.end for c in ch if c.kind == "attracting"]
+    repellers = [c.start for c in ch if c.kind == "repelling"]
+    int_t1 = interior_vertices(pair.domain_leaves)
+    int_t2 = interior_vertices(pair.range_leaves)
+    sides = (
+        ("attractor", [w for w in pair.domain_leaves if w in int_t2], attractors),
+        ("repeller", [w for w in pair.range_leaves if w in int_t1], repellers),
+    )
+    certificate = []
+    for side, roots, marks in sides:
+        found = []
+        for w in roots:
+            v = next((v for v in marks if is_prefix(w, v)), None)
+            if v is None:
+                return (side, w), None
+            found.append((w, v))
+        certificate.append(tuple(found))
+    return None, tuple(certificate)
 
 
 def is_revealing(pair: TreePair) -> bool:
     """True iff every component of the domain-minus-range difference holds a
     repeller and every component of range-minus-domain holds an attractor."""
-    ch = chains(pair)
-    repellers = [c.start for c in ch if c.kind == "repelling"]
-    attractors = [c.end for c in ch if c.kind == "attracting"]
-    dom_minus_ran, ran_minus_dom = _difference_component_roots(pair)
-    for w in dom_minus_ran:
-        if not any(is_prefix(w, r) for r in repellers):
-            return False
-    for w in ran_minus_dom:
-        if not any(is_prefix(w, a) for a in attractors):
-            return False
-    return True
+    return _check_components(pair, chains(pair))[0] is None
 
 
 @dataclass(frozen=True)
@@ -192,35 +193,6 @@ class RevealingPair:
     chains: tuple
     attractors: tuple  # (component root, attractor vertex) per range-minus-domain component
     repellers: tuple   # (component root, repeller vertex) per domain-minus-range component
-
-
-def _certificate(pair: TreePair, ch) -> tuple:
-    repellers = [c.start for c in ch if c.kind == "repelling"]
-    attractors = [c.end for c in ch if c.kind == "attracting"]
-    dom_minus_ran, ran_minus_dom = _difference_component_roots(pair)
-    att_cert = []
-    for w in ran_minus_dom:
-        found = [a for a in attractors if is_prefix(w, a)]
-        att_cert.append((w, found[0]))
-    rep_cert = []
-    for w in dom_minus_ran:
-        found = [r for r in repellers if is_prefix(w, r)]
-        rep_cert.append((w, found[0]))
-    return tuple(att_cert), tuple(rep_cert)
-
-
-def _first_violation(pair: TreePair, ch):
-    """(side, component root) of the first failing component, or None."""
-    repellers = [c.start for c in ch if c.kind == "repelling"]
-    attractors = [c.end for c in ch if c.kind == "attracting"]
-    dom_minus_ran, ran_minus_dom = _difference_component_roots(pair)
-    for w in ran_minus_dom:
-        if not any(is_prefix(w, a) for a in attractors):
-            return ("attractor", w)
-    for w in dom_minus_ran:
-        if not any(is_prefix(w, r) for r in repellers):
-            return ("repeller", w)
-    return None
 
 
 def _roll_once(pair: TreePair, side: str, w: Address) -> TreePair:
@@ -319,7 +291,7 @@ def reveal(g: Element, strategy: str = "rolling") -> RevealingPair:
     if strategy == "rolling":
         done = False
         for _ in range(_ROLL_CAP):
-            viol = _first_violation(pair, chains(pair))
+            viol, _ = _check_components(pair, chains(pair))
             if viol is None:
                 done = True
                 break
@@ -330,10 +302,10 @@ def reveal(g: Element, strategy: str = "rolling") -> RevealingPair:
         pair = _bfs_reveal(g.pair)
     pair = _collapse_fake_chains(pair)
     ch = chains(pair)
-    if _first_violation(pair, ch) is not None:
+    viol, cert = _check_components(pair, ch)
+    if viol is not None:
         raise AssertionError("normalisation broke the revealing property")
-    att_cert, rep_cert = _certificate(pair, ch)
-    return RevealingPair(pair, ch, att_cert, rep_cert)
+    return RevealingPair(pair, ch, *cert)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +352,7 @@ def report_from_revealing(g: Element, pair: TreePair) -> DynamicsReport:
     one ``reveal`` would produce)."""
     tg = g.tg
     ch = chains(pair)
-    if _first_violation(pair, ch) is not None:
+    if _check_components(pair, ch)[0] is not None:
         raise ValueError("the pair is not revealing")
 
     stable = ClopenSet.empty(tg)
@@ -490,19 +462,20 @@ class HypCertificate:
     backward: HypDirection
 
 
-_TRAP_REFINE_CAP = 64
 _ITERATE_CAP = 10_000
 
 
-def _build_trap(g: Element, cycles, target: ClopenSet) -> ClopenSet:
+def _build_trap(g: Element, cycles, target: ClopenSet, m: int) -> ClopenSet:
     """A clopen made of one ball per cycle step, mapped into itself by g and
-    contained in ``target``; exists for every radius because the cycle balls
-    nest strictly under the return map."""
+    contained in ``target``, the 2^-m neighbourhood of the attracting
+    periodic points.  At refinement t, step k of a cycle u_0 -> ... -> u_0 s
+    is the ball at u_k s^t, on the ray of the attracting point u_k s^inf at
+    depth >= t, so some t <= m fits."""
     tg = g.tg
     trap = ClopenSet.empty(tg)
     for cd in cycles:
         s = cd.target[len(cd.root):]
-        for t in range(_TRAP_REFINE_CAP):
+        for t in range(m + 1):
             ball = ClopenSet.ball(tg, cd.root + s * t)
             slices = [ball]
             cur = ball
@@ -532,7 +505,7 @@ def _direction(g: Element, hyperbolic: ClopenSet, cycles,
         return HypDirection(ClopenSet.empty(tg), target, start, (start,), 0)
     if not cycles:
         raise AssertionError("nonempty hyperbolic part without attracting chains")
-    trap = _build_trap(g, cycles, target)
+    trap = _build_trap(g, cycles, target, eps_exponent(eps))
     iterates = [start]
     cur = start
     steps = 0

@@ -33,8 +33,8 @@ from .element import (
     element_from_map,
     format_element,
     identity,
+    leaf_depth,
     parse_element,
-    shape_at,
     shape_from_leaves,
     shape_leaves,
     shape_union,
@@ -318,13 +318,8 @@ def _image_partition(e: Element, shape):
     kappa = e.pair.leaf_map()
     out = []
     for b in shape_leaves(shape):
-        node = e.pair.domain
-        n = 0
-        while node is not None:
-            node = node[b[n]]
-            n += 1
-        u = b[:n]
-        out.append(kappa[u] + b[n:])
+        n = leaf_depth(e.pair.domain, b.__getitem__)
+        out.append(kappa[b[:n]] + b[n:])
     return shape_from_leaves(e.tg, out, e.tg.root_type)
 
 
@@ -472,13 +467,8 @@ def restrict(g: Element, w: ClopenSet) -> RestrictedElement:
     kappa = g.pair.leaf_map()
     mapping = {}
     for leaf in shape_leaves(refined):
-        inside = ClopenSet.ball(tg, leaf).subset_of(w)
-        if inside:
-            node = g.pair.domain
-            n = 0
-            while node is not None:
-                node = node[leaf[n]]
-                n += 1
+        if ClopenSet.ball(tg, leaf).subset_of(w):
+            n = leaf_depth(g.pair.domain, leaf.__getitem__)
             mapping[leaf] = kappa[leaf[:n]] + leaf[n:]
         else:
             mapping[leaf] = leaf

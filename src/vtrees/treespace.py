@@ -460,14 +460,16 @@ def _node_subset(tg: TypeGraph, t: str, a, b) -> bool:
                for ct, x, y in zip(tg.children[t], a, b))
 
 
-def _node_ball(tg: TypeGraph, t: str, address: Address):
+def _node_graft(tg: TypeGraph, t: str, address: Address, sub):
+    """The trie that is ``sub`` (not False) below ``address`` and empty
+    elsewhere; the ball at ``address`` is the graft of True."""
     arities = []
     cur = t
     for i in address:
         cs = tg.children[cur]
         arities.append(len(cs))
         cur = cs[i]
-    node = True
+    node = sub
     for i, a in zip(reversed(address), reversed(arities)):
         if a == 1:
             # one child: the ball below it is the whole ball here
@@ -508,7 +510,7 @@ class ClopenSet:
         address = tuple(address)
         if not tg.is_valid_address(address):
             raise ValueError(f"invalid address {address_str(address)!r}")
-        return ClopenSet(tg, _node_ball(tg, tg.root_type, address))
+        return ClopenSet(tg, _node_graft(tg, tg.root_type, address, True))
 
     @staticmethod
     def from_balls(tg: TypeGraph, addresses: Iterable[Sequence[int]]) -> "ClopenSet":

@@ -1,8 +1,10 @@
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -16,6 +18,16 @@ from vtrees import (
 BINARY_SPEC = '{"types": {"b": ["b", "b"]}, "root": "b"}'
 WIDE_SPEC = '{"types": {"r": ["b", "b", "b"], "b": ["b", "b"]}, "root": "r"}'
 RAY_SPEC = '{"types": {"a": ["a", "b"], "b": ["b"]}, "root": "a"}'
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it reads from the project's source
+    # files, also without an example database, and it does so while tests
+    # are collected; keep that cache out of the working tree.
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    config.add_cleanup(lambda: set_hypothesis_home_dir(None))
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,8 @@ different routes to the same value:
   identity test / bounded order search), fast enough to take a thousand
   powers of an element;
 - finite unrollings of type graphs for isomorphism checks;
-- depth-n enumeration of ball addresses for clopen membership.
+- depth-n enumeration of ball addresses for clopen membership;
+- the revealing condition, from the raw leaf map of a tree pair.
 """
 
 from __future__ import annotations
@@ -172,3 +173,41 @@ def contains_point_bruteforce(c, x, depth: int) -> bool:
 
 def max_ball_depth(c) -> int:
     return max((len(b) for b in c.balls()), default=0)
+
+
+# ---------------------------------------------------------------------------
+# Revealing condition from raw leaf sets
+
+
+def revealing_oracle(leaf_map) -> bool:
+    """The revealing condition for the tree pair with this leaf bijection
+    (domain leaf -> range leaf, addresses as index tuples).
+
+    A chain starts at a domain leaf that is no range leaf and follows the
+    map while it stays on domain leaves; it is attracting when it ends
+    strictly below its start and repelling when it starts strictly below its
+    end.  Range-minus-domain has one component per domain leaf interior to
+    the range tree, and it must hold an attractor (a chain end); domain-
+    minus-range has one per range leaf interior to the domain tree, and it
+    must hold a repeller (a chain start).
+    """
+    m = {"".join(map(str, u)): "".join(map(str, w))
+         for u, w in leaf_map.items()}
+    dom, ran = set(m), set(m.values())
+    attractors, repellers = [], []
+    for start in dom - ran:
+        end = m[start]
+        while end in m:
+            end = m[end]
+        if end.startswith(start):
+            attractors.append(end)
+        elif start.startswith(end):
+            repellers.append(start)
+
+    def interior(v, leaves):
+        return any(len(u) > len(v) and u.startswith(v) for u in leaves)
+
+    return (all(any(a.startswith(w) for a in attractors)
+                for w in dom if interior(w, ran))
+            and all(any(r.startswith(w) for r in repellers)
+                    for w in ran if interior(w, dom)))

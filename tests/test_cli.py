@@ -1,15 +1,26 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from vtrees.cli import main, witness_from_json, witness_json
+from vtrees.cli import (
+    _budgets,
+    _build_parser,
+    main,
+    witness_from_json,
+    witness_json,
+)
 from vtrees import (
     GeneratingSet,
     build_pingpong,
     Budgets,
+    dynamics,
+    hyp_power_bound,
     load_type_graph,
+    parse_element,
+    recheck_hyp_certificate,
     verify_pingpong,
 )
 
@@ -78,6 +89,21 @@ def test_dynamics_report(files, capsys):
     assert doc["power_bound"]["forward"]["trap"] == ["11"]
     kinds = sorted(c["kind"] for c in doc["chains"])
     assert kinds == ["attracting", "repelling", "wandering"]
+
+
+@pytest.mark.parametrize("name, text, n", [("x0", X0, 138), ("x1", X1, 136)],
+                         ids=["x0", "x1"])
+def test_dynamics_small_radius(files, capsys, name, text, n):
+    # the trap around the attracting points refines once per halving of eps
+    path = files / f"{name}.txt"
+    path.write_text(text + "\n")
+    doc = run_json(["dynamics", "--tree", str(files / "binary.json"),
+                    "--element", str(path), "--eps", "2^-70"], capsys)
+    assert doc["power_bound"]["N"] == n
+    g = parse_element(load_type_graph(BINARY_SPEC), text)
+    got, cert = hyp_power_bound(g, dynamics(g), Fraction(1, 2 ** 70))
+    assert got == n
+    assert recheck_hyp_certificate(g, cert)
 
 
 def test_reveal_and_elliptic_and_order(files, capsys):
@@ -216,6 +242,10 @@ def test_input_errors_exit_3(files, capsys, tmp_path):
     code, _, err = run_cli(["apply", "--tree", str(files / "binary.json"),
                             "--element", str(files / "x0.txt"), "01"], capsys)
     assert code == 3
+    code, _, err = run_cli(["order", "--tree", str(files / "binary.json"),
+                            "--element", str(files / "x0.txt"),
+                            "--threads", "0"], capsys)
+    assert code == 3 and "--threads" in err
 
 
 def test_text_format(files, capsys):
@@ -224,6 +254,17 @@ def test_text_format(files, capsys):
                             "--format", "text"], capsys)
     assert code == 0
     assert "order: 2" in out
+
+
+def test_budget_flags_are_budgets():
+    parser = _build_parser()
+    assert _budgets(parser.parse_args(["check"])) == Budgets()
+    args = parser.parse_args(["check", "--budget-words", "1",
+                              "--budget-orbit", "2", "--budget-depth", "3",
+                              "--budget-steps", "4", "--budget-closure", "5"])
+    assert _budgets(args) == Budgets(word_length=1, orbit_size=2,
+                                     expansion_depth=3, dovetail_steps=4,
+                                     closure_size=5)
 
 
 def test_byte_identical_reports_across_threads(files, capsys):

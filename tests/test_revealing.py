@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtrees import (
     ClopenSet,
@@ -18,6 +19,7 @@ from vtrees import (
     identity,
     is_elliptic,
     is_revealing,
+    load_type_graph,
     make_element,
     order,
     parse_element,
@@ -29,12 +31,16 @@ from vtrees.element import expand_pair
 from vtrees.revealing import report_from_revealing
 from vtrees.treespace import is_prefix
 
-from conftest import sample_elements
+from conftest import BINARY_SPEC, RAY_SPEC, WIDE_SPEC, sample_elements
 from oracles import (
     binary_helpers,
     brute_force_order_search,
+    revealing_oracle,
     wide_helpers,
 )
+
+TREES = {name: load_type_graph(spec) for name, spec in
+         (("binary", BINARY_SPEC), ("wide", WIDE_SPEC), ("ray", RAY_SPEC))}
 
 
 def pt(tg, prefix, cycle):
@@ -137,6 +143,37 @@ def test_is_revealing_negative_case(binary):
     ch = {c.vertices: c.kind for c in chains(p)}
     assert ch[((1,), (0, 0))] == "mixed"
     assert not is_revealing(p)
+
+
+def _pair_and_expansions(tg, seed, expansions):
+    """A seeded random element's reduced pair, then that pair after each of
+    ``expansions`` random caret expansions."""
+    rng = random.Random(seed)
+    p = random_element(tg, rng.randint(1, 4), rng).pair
+    out = [p]
+    for _ in range(expansions):
+        p = expand_pair(p, rng.choice(p.domain_leaves))
+        out.append(p)
+    return out
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32),
+       expansions=st.integers(1, 3))
+def test_is_revealing_matches_oracle(tree, seed, expansions):
+    for p in _pair_and_expansions(TREES[tree], seed, expansions):
+        assert is_revealing(p) == revealing_oracle(p.leaf_map())
+
+
+def test_revealing_oracle_sees_both_outcomes():
+    for name, tg in TREES.items():
+        seen = set()
+        for seed in range(40):
+            for p in _pair_and_expansions(tg, seed, 3):
+                got = is_revealing(p)
+                assert got == revealing_oracle(p.leaf_map())
+                seen.add(got)
+        assert seen == {True, False}, name
 
 
 # ---------------------------------------------------------------------------
