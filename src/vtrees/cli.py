@@ -585,34 +585,37 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="vtrees",
         description="Exact dynamics of locally order-preserving tree "
                     "almost-automorphism groups on tree boundaries.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--tree", help="type graph JSON file")
-        p.add_argument("--gens", help="generating set file (name = pair{...})")
-        p.add_argument("--element", action="append",
-                       help="element file (repeat for commands taking two)")
-        p.add_argument("--witness", help="ping-pong witness JSON file")
-        p.add_argument("--eps", help="radius, e.g. 2^-3 or 1")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--size", type=int, default=4,
-                       help="caret bound for random-element")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--format", dest="fmt", choices=("json", "text"),
-                       default="json")
-        for flag, f in zip(("words", "orbit", "depth", "steps", "closure"),
-                           fields(Budgets)):
-            p.add_argument(f"--budget-{flag}", dest=f.name, type=int,
-                           default=f.default)
-        if name == "apply" or name == "orbit":
-            p.add_argument("point", help="boundary point, e.g. 01(0)^inf")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help=", ".join(_COMMANDS))
+    parser.add_argument("point", nargs="?",
+                        help="boundary point, e.g. 01(0)^inf (apply and orbit)")
+    parser.add_argument("--tree", help="type graph JSON file")
+    parser.add_argument("--gens", help="generating set file (name = pair{...})")
+    parser.add_argument("--element", action="append",
+                        help="element file (repeat for commands taking two)")
+    parser.add_argument("--witness", help="ping-pong witness JSON file")
+    parser.add_argument("--eps", help="radius, e.g. 2^-3 or 1")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--size", type=int, default=4,
+                        help="caret bound for random-element")
+    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--format", dest="fmt", choices=("json", "text"),
+                        default="json")
+    for flag, f in zip(("words", "orbit", "depth", "steps", "closure"),
+                       fields(Budgets)):
+        parser.add_argument(f"--budget-{flag}", dest=f.name, type=int,
+                            default=f.default)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_intermixed_args(argv)
+        if (args.point is None) == (args.command in ("apply", "orbit")):
+            parser.error(f"{args.command} takes a point argument"
+                         if args.point is None else
+                         f"{args.command} takes no point argument")
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else 0
     if args.threads < 1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -404,9 +405,10 @@ class Element:
     def apply_point(self, x: BoundaryPoint) -> BoundaryPoint:
         if x.tg != self.tg:
             raise ValueError("point over a different type graph")
-        n = leaf_depth(self.pair.domain, x.index_at)
-        u = x.address_prefix(n)
-        w = self.pair.leaf_map()[u]
+        p = self.pair
+        n = leaf_depth(p.domain, x.index_at)
+        i = bisect_left(p.domain_leaves, x.address_prefix(n))
+        w = p.range_leaves[p.perm[i]]
         tail_prefix, tail_cycle = x.drop(n)
         return boundary_point(self.tg, w + tail_prefix, tail_cycle)
 
@@ -460,58 +462,32 @@ def format_element(e: Element) -> str:
     return format_pair(e.pair)
 
 
+def graft(pair: TreePair, sub_at: Callable) -> TreePair:
+    """The same map on finer trees: below each leaf pair u -> w the shape
+    ``sub_at(u, w)`` is grafted on both sides (None grafts nothing)."""
+    kappa = {}
+    for u, pi in zip(pair.domain_leaves, pair.perm):
+        w = pair.range_leaves[pi]
+        sub = sub_at(u, w)
+        if sub is None:
+            kappa[u] = w
+        else:
+            for s in shape_leaves(sub):
+                kappa[u + s] = w + s
+    return TreePair.from_map(pair.tg, kappa)
+
+
 def expand(e: Element, u: Sequence[int]) -> TreePair:
     """One caret expansion of e's pair at the domain leaf u (not reduced)."""
     u = tuple(u)
-    kappa = e.pair.leaf_map()
-    if u not in kappa:
+    if u not in e.pair.domain_leaves:
         raise ValueError(f"{address_str(u)!r} is not a domain leaf")
     return expand_pair(e.pair, u)
 
 
 def expand_pair(pair: TreePair, u: Address) -> TreePair:
-    kappa = pair.leaf_map()
-    w = kappa.pop(u)
-    for i in range(pair.tg.arity(pair.tg.type_at(u))):
-        kappa[u + (i,)] = w + (i,)
-    return TreePair.from_map(pair.tg, kappa)
-
-
-def expand_pair_by_shape(pair: TreePair, u: Address, shape) -> TreePair:
-    """Graft a complete-subtree shape below the domain leaf u (and its image)."""
-    if shape is None:
-        return pair
-    kappa = pair.leaf_map()
-    w = kappa.pop(u)
-    for s in shape_leaves(shape):
-        kappa[u + s] = w + s
-    return TreePair.from_map(pair.tg, kappa)
-
-
-def refine_domain(pair: TreePair, shape) -> TreePair:
-    """Expand so that the domain tree equals ``shape`` (which must refine it)."""
-    kappa = {}
-    for u, w in pair.leaf_map().items():
-        sub = shape_at(shape, u)
-        if sub is None:
-            kappa[u] = w
-        else:
-            for s in shape_leaves(sub):
-                kappa[u + s] = w + s
-    return TreePair.from_map(pair.tg, kappa)
-
-
-def refine_range(pair: TreePair, shape) -> TreePair:
-    """Expand so that the range tree equals ``shape`` (which must refine it)."""
-    kappa = {}
-    for u, w in pair.leaf_map().items():
-        sub = shape_at(shape, w)
-        if sub is None:
-            kappa[u] = w
-        else:
-            for s in shape_leaves(sub):
-                kappa[u + s] = w + s
-    return TreePair.from_map(pair.tg, kappa)
+    caret = (None,) * pair.tg.arity(pair.tg.type_at(u))
+    return graft(pair, lambda v, w: caret if v == u else None)
 
 
 def compose(g: Element, h: Element) -> Element:
@@ -520,8 +496,8 @@ def compose(g: Element, h: Element) -> Element:
         raise ValueError("elements over different type graphs")
     tg = g.tg
     common = shape_union(tg, tg.root_type, h.pair.range, g.pair.domain)
-    h2 = refine_range(h.pair, common)
-    g2 = refine_domain(g.pair, common)
+    h2 = graft(h.pair, lambda u, w: shape_at(common, w))
+    g2 = graft(g.pair, lambda u, w: shape_at(common, u))
     gmap = g2.leaf_map()
     composed = {u: gmap[w] for u, w in h2.leaf_map().items()}
     return Element(reduce(TreePair.from_map(tg, composed)))

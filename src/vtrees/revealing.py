@@ -52,7 +52,7 @@ from .element import (
     Element,
     TreePair,
     expand_pair,
-    expand_pair_by_shape,
+    graft,
     interior_vertices,
     make_element,
     shape_at,
@@ -207,12 +207,9 @@ def _roll_once(pair: TreePair, side: str, w: Address) -> TreePair:
         # w is a domain leaf, interior to the range tree; follow the chain
         # from w forward and copy the component shape to its terminal vertex.
         shape = shape_at(pair.range, w)
-        seq = [w]
         cur = w
-        while cur in kappa:
+        while kappa[cur] in kappa:
             cur = kappa[cur]
-            seq.append(cur)
-        return expand_pair_by_shape(pair, seq[-2], shape)
     else:
         # w is a range leaf, interior to the domain tree; walk the chain
         # ending at w back to its start and copy the component shape there.
@@ -221,7 +218,7 @@ def _roll_once(pair: TreePair, side: str, w: Address) -> TreePair:
         cur = w
         while cur in inv:
             cur = inv[cur]
-        return expand_pair_by_shape(pair, cur, shape)
+    return graft(pair, lambda u, _: shape if u == cur else None)
 
 
 def _collapse_fake_chains(pair: TreePair) -> TreePair:
@@ -347,14 +344,25 @@ class DynamicsReport:
     attracting_cycles: tuple
 
 
+def _attracting_cycles(ch) -> tuple:
+    """The cycle data of the attracting chains among ``ch``."""
+    return tuple(CycleData(c.start, c.end, c.period,
+                           Fraction(1, 2 ** (len(c.end) - len(c.start))))
+                 for c in ch if c.kind == "attracting")
+
+
 def report_from_revealing(g: Element, pair: TreePair) -> DynamicsReport:
     """Dynamics data read off a revealing pair for g (not necessarily the
     one ``reveal`` would produce)."""
-    tg = g.tg
     ch = chains(pair)
     if _check_components(pair, ch)[0] is not None:
         raise ValueError("the pair is not revealing")
+    return _report(g, pair, ch)
 
+
+def _report(g: Element, pair: TreePair, ch) -> DynamicsReport:
+    """The report for g from a revealing pair and its chains."""
+    tg = g.tg
     stable = ClopenSet.empty(tg)
     periods = []
     for c in ch:
@@ -365,7 +373,6 @@ def report_from_revealing(g: Element, pair: TreePair) -> DynamicsReport:
 
     att_pts = []
     rep_pts = []
-    cycles = []
     ginv = g.inverse()
     for c in ch:
         if c.kind == "attracting":
@@ -376,8 +383,6 @@ def report_from_revealing(g: Element, pair: TreePair) -> DynamicsReport:
             for _ in range(c.period - 1):
                 orbit.append(g.apply_point(orbit[-1]))
             att_pts.extend((c, p) for p in orbit)
-            cycles.append(CycleData(u0, un, c.period,
-                                    Fraction(1, 2 ** (len(un) - len(u0)))))
         elif c.kind == "repelling":
             u0, un = c.start, c.end
             s = u0[len(un):]
@@ -410,21 +415,21 @@ def report_from_revealing(g: Element, pair: TreePair) -> DynamicsReport:
         repelling_periodic=tuple(rep),
         isolated=tuple(isolated),
         isometric_power=power,
-        attracting_cycles=tuple(cycles),
+        attracting_cycles=_attracting_cycles(ch),
     )
 
 
 def dynamics(g: Element) -> DynamicsReport:
     """The invariant splitting and periodic data of g, via a revealing pair."""
-    return report_from_revealing(g, reveal(g).pair)
+    rp = reveal(g)
+    return _report(g, rp.pair, rp.chains)
 
 
 def is_elliptic(g: Element) -> bool:
     """True iff some admissible ball partition is permuted by g; in this
     group that is exactly having finite order, and it is equivalent to the
     revealing pair having only periodic chains."""
-    rp = reveal(g)
-    return all(c.kind == "periodic" for c in rp.chains)
+    return order(g) is not None
 
 
 def order(g: Element):
@@ -514,7 +519,8 @@ def _direction(g: Element, hyperbolic: ClopenSet, cycles,
         iterates.append(cur)
         steps += 1
         if steps > _ITERATE_CAP:
-            raise AssertionError("image iteration did not enter the trap")
+            raise BudgetExceeded("image iteration did not enter the trap within "
+                                 f"the cap _ITERATE_CAP = {_ITERATE_CAP}")
     return HypDirection(trap, target, start, tuple(iterates), steps)
 
 
@@ -534,7 +540,7 @@ def hyp_power_bound(g: Element, report: DynamicsReport, eps: Fraction):
                              ClopenSet.empty(tg), (ClopenSet.empty(tg),), 0)
         return 1, HypCertificate(eps, 1, empty, empty)
     ginv = g.inverse()
-    inv_cycles = dynamics(ginv).attracting_cycles
+    inv_cycles = _attracting_cycles(reveal(ginv).chains)
     forward = _direction(g, report.hyperbolic, report.attracting_cycles,
                          report.attracting_periodic, report.repelling_periodic, eps)
     backward = _direction(ginv, report.hyperbolic, inv_cycles,

@@ -32,10 +32,10 @@ from .element import (
     compose,
     element_from_map,
     format_element,
+    graft,
     identity,
-    leaf_depth,
     parse_element,
-    shape_from_leaves,
+    shape_at,
     shape_leaves,
     shape_union,
 )
@@ -315,12 +315,7 @@ class AdmissiblePartition:
 
 def _image_partition(e: Element, shape):
     """Image of a ball partition (finer than e's domain tree) under e."""
-    kappa = e.pair.leaf_map()
-    out = []
-    for b in shape_leaves(shape):
-        n = leaf_depth(e.pair.domain, b.__getitem__)
-        out.append(kappa[b[:n]] + b[n:])
-    return shape_from_leaves(e.tg, out, e.tg.root_type)
+    return graft(e.pair, lambda u, _: shape_at(shape, u)).range
 
 
 def common_admissible_partition(closure: GroupClosure) -> AdmissiblePartition:
@@ -464,14 +459,9 @@ def restrict(g: Element, w: ClopenSet) -> RestrictedElement:
         raise ValueError("the clopen set is not invariant under the element")
     tg = g.tg
     refined = shape_union(tg, tg.root_type, g.pair.domain, _clopen_shape(w))
-    kappa = g.pair.leaf_map()
-    mapping = {}
-    for leaf in shape_leaves(refined):
-        if ClopenSet.ball(tg, leaf).subset_of(w):
-            n = leaf_depth(g.pair.domain, leaf.__getitem__)
-            mapping[leaf] = kappa[leaf[:n]] + leaf[n:]
-        else:
-            mapping[leaf] = leaf
+    kappa = graft(g.pair, lambda u, _: shape_at(refined, u)).leaf_map()
+    mapping = {u: v if ClopenSet.ball(tg, u).subset_of(w) else u
+               for u, v in kappa.items()}
     return RestrictedElement(w, element_from_map(tg, mapping))
 
 

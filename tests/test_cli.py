@@ -205,6 +205,31 @@ def test_search_caps_exit_2(files, capsys, monkeypatch):
     assert code == 2 and out == "" and "_ROUND_CAP" in err
 
 
+def test_iterate_cap_exits_2(files, capsys, monkeypatch):
+    import vtrees.revealing as revealing
+    monkeypatch.setattr(revealing, "_ITERATE_CAP", 1)
+    code, out, err = run_cli(["dynamics", "--tree", str(files / "binary.json"),
+                              "--element", str(files / "x0.txt"),
+                              "--eps", "2^-3"], capsys)
+    assert code == 2 and out == "" and "_ITERATE_CAP" in err
+
+
+def test_apply_and_orbit_need_a_point(files, capsys):
+    for args in (["apply", "--element", str(files / "x0.txt")],
+                 ["orbit", "--gens", str(files / "sgens.txt")]):
+        code, out, err = run_cli([*args, "--tree", str(files / "binary.json")],
+                                 capsys)
+        assert code == 3 and out == "" and "point" in err
+
+
+def test_other_commands_take_no_point(files, capsys):
+    for args in (["order", "--element", str(files / "x0.txt")],
+                 ["closure", "--gens", str(files / "sgens.txt")]):
+        code, out, err = run_cli([*args, "--tree", str(files / "binary.json"),
+                                  "(0)^inf"], capsys)
+        assert code == 3 and out == "" and "point" in err
+
+
 def test_random_element_determinism(files, capsys):
     a = run_json(["random-element", "--tree", str(files / "binary.json"),
                   "--seed", "9", "--size", "4"], capsys)

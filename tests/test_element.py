@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtrees import (
     ClopenSet,
@@ -17,6 +18,7 @@ from vtrees import (
     expand,
     format_element,
     identity,
+    load_type_graph,
     make_element,
     parse_element,
     random_element,
@@ -26,13 +28,16 @@ from vtrees import (
 from vtrees.element import (
     TreePair,
     expand_pair,
+    graft,
     parse_pair,
+    random_complete_shape,
+    shape_at,
     shape_from_leaves,
     shape_leaves,
     shape_union,
 )
 
-from conftest import random_point, sample_elements
+from conftest import BINARY_SPEC, RAY_SPEC, WIDE_SPEC, random_point, sample_elements
 from oracles import strmap_is_identity, to_strmap
 
 
@@ -168,6 +173,32 @@ def test_expand_rejects_non_leaf(x0):
         expand(x0, (0, 0, 0))
     with pytest.raises(ValueError):
         expand(x0, (0,))
+
+
+TREES = {name: load_type_graph(spec) for name, spec in
+         (("binary", BINARY_SPEC), ("wide", WIDE_SPEC), ("ray", RAY_SPEC))}
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32),
+       carets=st.integers(0, 6))
+def test_graft_refines_to_the_requested_tree(tree, seed, carets):
+    tg = TREES[tree]
+    rng = random.Random(seed)
+    e = random_element(tg, rng.randint(1, 4), rng)
+    extra = random_complete_shape(tg, carets, rng)
+    dom = shape_union(tg, tg.root_type, e.pair.domain, extra)
+    p = graft(e.pair, lambda u, w: shape_at(dom, u))
+    assert p.domain == dom
+    assert make_element(p) == e
+    # refining the range to the matching shape gives the same pair
+    q = graft(e.pair, lambda u, w: shape_at(p.range, w))
+    assert q.range == p.range
+    assert q == p
+    ran = shape_union(tg, tg.root_type, e.pair.range, extra)
+    q = graft(e.pair, lambda u, w: shape_at(ran, w))
+    assert q.range == ran
+    assert make_element(q) == e
 
 
 # ---------------------------------------------------------------------------

@@ -431,6 +431,15 @@ def test_hyp_power_bound_elliptic_degenerate(sigma):
     assert recheck_hyp_certificate(sigma, cert)
 
 
+def test_iterate_cap_raises_budget_exceeded(x0, monkeypatch):
+    import vtrees.revealing as revealing
+    from vtrees import BudgetExceeded
+    # x0 needs N = 4 iterates at radius 2^-3, more than a cap of 1 allows
+    monkeypatch.setattr(revealing, "_ITERATE_CAP", 1)
+    with pytest.raises(BudgetExceeded, match="_ITERATE_CAP = 1"):
+        hyp_power_bound(x0, dynamics(x0), Fraction(1, 8))
+
+
 def test_hyp_power_bound_random_nonelliptic(binary, wide):
     found = 0
     for tg in (binary, wide):
