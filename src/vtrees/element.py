@@ -272,9 +272,13 @@ def reduce(pair: TreePair) -> TreePair:
     applied bottom-up; (b) on leaf pairs whose ball is a single point, lift
     either side past arity-1 parents (this never changes the homeomorphism
     because both balls are the same singleton).
+    The moves run on the leaf map: this is ``reduce_map`` of ``pair.leaf_map()``.
     """
-    tg = pair.tg
-    kappa = pair.leaf_map()
+    return reduce_map(pair.tg, pair.leaf_map())
+
+
+def reduce_map(tg: TypeGraph, kappa: dict) -> TreePair:
+    """The reduced pair of a valid leaf map; ``kappa`` is contracted in place."""
 
     def try_contract(p: Address):
         t = tg.type_at(p)
@@ -465,6 +469,11 @@ def format_element(e: Element) -> str:
 def graft(pair: TreePair, sub_at: Callable) -> TreePair:
     """The same map on finer trees: below each leaf pair u -> w the shape
     ``sub_at(u, w)`` is grafted on both sides (None grafts nothing)."""
+    return TreePair.from_map(pair.tg, graft_map(pair, sub_at))
+
+
+def graft_map(pair: TreePair, sub_at: Callable) -> dict:
+    """The leaf map of ``graft(pair, sub_at)``, without building its pair."""
     kappa = {}
     for u, pi in zip(pair.domain_leaves, pair.perm):
         w = pair.range_leaves[pi]
@@ -474,7 +483,7 @@ def graft(pair: TreePair, sub_at: Callable) -> TreePair:
         else:
             for s in shape_leaves(sub):
                 kappa[u + s] = w + s
-    return TreePair.from_map(pair.tg, kappa)
+    return kappa
 
 
 def expand(e: Element, u: Sequence[int]) -> TreePair:
@@ -491,16 +500,32 @@ def expand_pair(pair: TreePair, u: Address) -> TreePair:
 
 
 def compose(g: Element, h: Element) -> Element:
-    """The element g o h (h applied first)."""
+    """The element g o h (h applied first).
+
+    Each leaf pair u -> w of h is followed through g's domain tree, which
+    gives the leaf map of g o h on the common refinement; it is reduced once.
+    """
     if g.tg != h.tg:
         raise ValueError("elements over different type graphs")
-    tg = g.tg
-    common = shape_union(tg, tg.root_type, h.pair.range, g.pair.domain)
-    h2 = graft(h.pair, lambda u, w: shape_at(common, w))
-    g2 = graft(g.pair, lambda u, w: shape_at(common, u))
-    gmap = g2.leaf_map()
-    composed = {u: gmap[w] for u, w in h2.leaf_map().items()}
-    return Element(reduce(TreePair.from_map(tg, composed)))
+    gp, hp = g.pair, h.pair
+    kappa = {}
+    for u, pi in zip(hp.domain_leaves, hp.perm):
+        w = hp.range_leaves[pi]
+        node = gp.domain
+        n = 0
+        while node is not None and n < len(w):
+            node = node[w[n]]
+            n += 1
+        if node is None:
+            # w lies in the ball of the g-domain leaf w[:n]
+            i = bisect_left(gp.domain_leaves, w[:n])
+            kappa[u] = gp.range_leaves[gp.perm[i]] + w[n:]
+        else:
+            # w is interior to g's domain tree: split u as g's leaves below w
+            i = bisect_left(gp.domain_leaves, w)
+            for k, t in enumerate(shape_leaves(node), i):
+                kappa[u + t] = gp.range_leaves[gp.perm[k]]
+    return Element(reduce_map(g.tg, kappa))
 
 
 def inverse(g: Element) -> Element:

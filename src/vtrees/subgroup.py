@@ -28,14 +28,14 @@ from .treespace import (
 from .element import (
     Element,
     GeneratorFamily,
-    TreePair,
     compose,
     element_from_map,
     format_element,
-    graft,
+    graft_map,
     identity,
     parse_element,
     shape_at,
+    shape_from_leaves,
     shape_leaves,
     shape_union,
 )
@@ -315,7 +315,8 @@ class AdmissiblePartition:
 
 def _image_partition(e: Element, shape):
     """Image of a ball partition (finer than e's domain tree) under e."""
-    return graft(e.pair, lambda u, _: shape_at(shape, u)).range
+    kappa = graft_map(e.pair, lambda u, _: shape_at(shape, u))
+    return shape_from_leaves(e.tg, kappa.values(), e.tg.root_type)
 
 
 def common_admissible_partition(closure: GroupClosure) -> AdmissiblePartition:
@@ -459,7 +460,7 @@ def restrict(g: Element, w: ClopenSet) -> RestrictedElement:
         raise ValueError("the clopen set is not invariant under the element")
     tg = g.tg
     refined = shape_union(tg, tg.root_type, g.pair.domain, _clopen_shape(w))
-    kappa = graft(g.pair, lambda u, _: shape_at(refined, u)).leaf_map()
+    kappa = graft_map(g.pair, lambda u, _: shape_at(refined, u))
     mapping = {u: v if ClopenSet.ball(tg, u).subset_of(w) else u
                for u, v in kappa.items()}
     return RestrictedElement(w, element_from_map(tg, mapping))

@@ -48,7 +48,7 @@ def compose_strmaps(gmap: dict, hmap: dict) -> dict:
 
 
 def reduce_strmap(m: dict, arity_of) -> dict:
-    """Contract carets mapped child-by-child onto carets."""
+    """Contract carets mapped child-by-child onto carets of the same arity."""
     m = dict(m)
     stack = sorted({u[:-1] for u in m if u})
     while stack:
@@ -61,6 +61,8 @@ def reduce_strmap(m: dict, arity_of) -> dict:
         if not w0 or w0[-1] != "0":
             continue
         wp = w0[:-1]
+        if arity_of(wp) != a:
+            continue
         if all(vals[i] == wp + str(i) for i in range(1, a)):
             for i in range(a):
                 del m[p + str(i)]

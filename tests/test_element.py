@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -25,20 +26,30 @@ from vtrees import (
     reduce,
     visual_distance,
 )
+import vtrees.element as element_module
 from vtrees.element import (
     TreePair,
     expand_pair,
     graft,
+    interior_vertices,
     parse_pair,
     random_complete_shape,
     shape_at,
+    shape_caret_count,
     shape_from_leaves,
     shape_leaves,
     shape_union,
 )
 
 from conftest import BINARY_SPEC, RAY_SPEC, WIDE_SPEC, random_point, sample_elements
-from oracles import strmap_is_identity, to_strmap
+from oracles import (
+    binary_helpers,
+    compose_strmaps,
+    reduce_strmap,
+    strmap_is_identity,
+    to_strmap,
+    wide_helpers,
+)
 
 
 def pt(tg, prefix, cycle):
@@ -220,6 +231,90 @@ def test_compose_pinned(binary, x0, sigma):
 def test_compose_mixed_graphs(binary, wide):
     with pytest.raises(ValueError):
         compose(identity(binary), identity(wide))
+
+
+ORACLE_ARITY = {"binary": binary_helpers()[0], "wide": wide_helpers()[0]}
+
+
+def assert_compose_matches_oracle(tree, g, h):
+    want = reduce_strmap(compose_strmaps(to_strmap(g), to_strmap(h)),
+                         ORACLE_ARITY[tree])
+    assert to_strmap(compose(g, h)) == want
+
+
+def oracle_pair(tree, seed):
+    """Two seeded random elements, the first usually the larger, so that
+    range leaves of the second often lie strictly above domain leaves of
+    the first."""
+    rng = random.Random(seed)
+    tg = TREES[tree]
+    return (random_element(tg, rng.randint(2, 7), rng),
+            random_element(tg, rng.randint(0, 4), rng))
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(tree=st.sampled_from(sorted(ORACLE_ARITY)), seed=st.integers(0, 2 ** 32))
+def test_compose_matches_oracle(tree, seed):
+    g, h = oracle_pair(tree, seed)
+    assert_compose_matches_oracle(tree, g, h)
+    assert_compose_matches_oracle(tree, h, g)
+
+
+def test_compose_oracle_sample_has_both_walks():
+    # both branches of compose's walk occur: a range leaf of h at or below
+    # a domain leaf of g, and one strictly above several of them
+    seen = set()
+    for tree in sorted(ORACLE_ARITY):
+        for seed in range(40):
+            g, h = oracle_pair(tree, seed)
+            inner = interior_vertices(g.pair.domain_leaves)
+            seen.update(w in inner for w in h.pair.range_leaves)
+            assert_compose_matches_oracle(tree, g, h)
+    assert seen == {True, False}
+
+
+@functools.cache
+def x0_power(tree, n):
+    return builtin_generators(TREES[tree])["x0"].power(n)
+
+
+@settings(database=None, derandomize=True, max_examples=60, deadline=None)
+@given(tree=st.sampled_from(sorted(ORACLE_ARITY)), n=st.integers(1, 40),
+       m=st.integers(1, 40), seed=st.integers(0, 2 ** 32))
+def test_compose_deep_leaves_match_oracle(tree, n, m, seed):
+    # x0^n has leaves at depth n + 1: images of deep leaves keep long tails
+    a, b = x0_power(tree, n), x0_power(tree, -m)
+    r = random_element(TREES[tree], 4, random.Random(seed))
+    for g, h in ((a, b), (b, a), (a, r), (r, b), (b, r)):
+        assert_compose_matches_oracle(tree, g, h)
+
+
+def test_compose_builds_one_pair(monkeypatch, binary, wide):
+    # one product is one reduced leaf map: one TreePair, two shapes
+    pairs = []
+    for tg in (binary, wide):
+        four = [e for e in sample_elements(tg, 60, 4, seed_base=700)
+                if shape_caret_count(e.pair.domain) == 4]
+        pairs += list(zip(four[:3], four[1:4]))
+    counts = {"pair": 0, "shape": 0}
+    init = element_module.TreePair.__init__
+    build = element_module.shape_from_leaves
+
+    def counting_init(self, *args):
+        counts["pair"] += 1
+        init(self, *args)
+
+    def counting_build(*args):
+        counts["shape"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(element_module.TreePair, "__init__", counting_init)
+    monkeypatch.setattr(element_module, "shape_from_leaves", counting_build)
+    assert len(pairs) == 6
+    for g, h in pairs:
+        counts.update(pair=0, shape=0)
+        compose(g, h)
+        assert counts == {"pair": 1, "shape": 2}
 
 
 def test_inverse_pinned(x0, binary):
