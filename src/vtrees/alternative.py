@@ -57,8 +57,6 @@ from .subgroup import (
     _orbit_search,
     enumerate_elements,
     orbit,
-    restrict,
-    restricted_closure,
     word_inverse,
     word_str,
 )
@@ -440,9 +438,11 @@ def dichotomy(s: GeneratingSet, budgets: Budgets = Budgets()) -> DichotomyResult
     The driver enumerates subgroup elements, intersecting their stable parts.
     While the intersection is nonempty it looks for finite orbits inside it;
     as soon as it is verifiably empty, the orbits of the accumulated
-    hyperbolic periodic points form a complete finite-orbit search, dovetailed
-    against the ping-pong construction.  A search that reaches one of its
-    fixed caps (``BudgetExceeded``) also ends in Undecided, naming the cap.
+    hyperbolic periodic points form a complete finite-orbit search.  The
+    driver scans those orbits first and then runs the ping-pong
+    construction; ``budgets.dovetail_steps`` bounds the number of elements
+    the enumeration scans.  A search that reaches one of its fixed caps
+    (``BudgetExceeded``) also ends in Undecided, naming the cap.
     """
     run = _Run(s, budgets)
     try:
@@ -504,23 +504,14 @@ class _Run:
             res = self.probe(eventually_periodic_witness(s.tg, ball))
             if res is not None:
                 return res
-        # equicontinuity certificate: if w is invariant under every generator
-        # and the restricted closure is finite, any witness orbit closes.  The
-        # first probe overflowed at a point of w; for invariant w its orbit
-        # is an orbit of the restricted group, which therefore has more than
-        # orbit_size elements and fits no closure_size <= orbit_size
-        # (docs/dynamics_notes.md, section 3).
+        # a larger probe at the first witness, bounded by closure_size.  The
+        # probe above overflowed there, so this one can close only when
+        # closure_size > orbit_size.  The memo records only "more than
+        # orbit_size", so it is bypassed (docs/dynamics_notes.md, section 3).
         if budgets.closure_size <= budgets.orbit_size:
             return None
-        for e in s.elements:
-            if e.apply_clopen(w) != w:
-                return None
-        closure = restricted_closure([restrict(e, w) for e in s.elements],
-                                     budgets.closure_size)
-        if closure is None:
-            return None
-        xi = eventually_periodic_witness(s.tg, w.balls()[0])
-        return orbit(xi, s, max(budgets.orbit_size, len(closure) + 1))
+        return orbit(eventually_periodic_witness(s.tg, w.balls()[0]), s,
+                     budgets.closure_size)
 
     def empty_core_branch(self) -> DichotomyResult:
         hs = [e for _, e, _ in self.contributors]

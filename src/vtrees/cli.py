@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .treespace import (
-    BoundaryPoint,
     ClopenSet,
     FormatError,
     TypeGraph,
@@ -29,7 +28,6 @@ from .treespace import (
     parse_address,
     parse_eps,
     parse_point,
-    visual_distance,
 )
 from .element import (
     Element,
@@ -37,7 +35,6 @@ from .element import (
     compose,
     format_element,
     format_pair,
-    identity,
     parse_element,
     random_element,
 )
@@ -45,13 +42,11 @@ from .revealing import (
     BudgetExceeded,
     HypCertificate,
     RevealingPair,
-    chains,
     dynamics,
     hyp_power_bound,
     is_elliptic,
     is_revealing,
     order,
-    recheck_hyp_certificate,
     reveal,
 )
 from .subgroup import (
@@ -59,7 +54,6 @@ from .subgroup import (
     GeneratingSet,
     Orbit,
     common_admissible_partition,
-    enumerate_elements,
     finite_closure,
     orbit,
     parse_generating_set,
@@ -69,9 +63,7 @@ from .subgroup import (
 from .alternative import (
     DichotomyResult,
     PingPongWitness,
-    build_pingpong,
     dichotomy,
-    free_group_smoke,
     proximal_contraction,
     stable_intersection,
     stable_set,

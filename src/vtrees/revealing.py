@@ -33,13 +33,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .treespace import (
     Address,
-    BoundaryPoint,
     ClopenSet,
-    TypeGraph,
     address_str,
     boundary_point,
     epsilon_neighborhood,
@@ -54,7 +51,6 @@ from .element import (
     expand_pair,
     graft,
     interior_vertices,
-    make_element,
     shape_at,
 )
 

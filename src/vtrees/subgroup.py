@@ -13,12 +13,10 @@ a budget is an answer, not an error.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
 from .treespace import (
-    Address,
     BoundaryPoint,
     ClopenSet,
     FormatError,
@@ -27,7 +25,6 @@ from .treespace import (
 )
 from .element import (
     Element,
-    GeneratorFamily,
     compose,
     element_from_map,
     format_element,

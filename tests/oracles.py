@@ -9,12 +9,15 @@ different routes to the same value:
   powers of an element;
 - finite unrollings of type graphs for isomorphism checks;
 - depth-n enumeration of ball addresses for clopen membership;
-- the revealing condition, from the raw leaf map of a tree pair.
+- the revealing condition, from the raw leaf map of a tree pair;
+- finite orbits, closed under string maps on point strings.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import re
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +216,54 @@ def revealing_oracle(leaf_map) -> bool:
                 for w in dom if interior(w, ran))
             and all(any(r.startswith(w) for r in repellers)
                     for w in ran if interior(w, dom)))
+
+
+# ---------------------------------------------------------------------------
+# Finite orbits from string maps and point strings
+#
+# A point is the string "prefix(cycle)^inf" and is handled as the pair
+# (prefix, cycle) of the infinite sequence prefix + cycle + cycle + ...
+
+
+def parse_point_str(text: str) -> tuple:
+    m = re.fullmatch(r"([0-9a-z]*)\(([0-9a-z]+)\)\^inf", text)
+    if m is None:
+        raise ValueError(f"not an eventually periodic point: {text!r}")
+    return m.group(1), m.group(2)
+
+
+def same_point(x: tuple, y: tuple) -> bool:
+    """Equality of eventually periodic sequences.  From position
+    max(|p|, |q|) on both repeat with period lcm(|c|, |d|), so agreeing on
+    one more period decides equality exactly."""
+    (p, c), (q, d) = x, y
+    n = max(len(p), len(q)) + math.lcm(len(c), len(d))
+    return (p + c * n)[:n] == (q + d * n)[:n]
+
+
+def strmap_apply_point(m: dict, x: tuple) -> tuple:
+    """Exact image of (prefix, cycle) under a string leaf map."""
+    p, c = x
+    # long enough to pass every leaf, and the rest of the point is c^inf
+    s = p + c * max(map(len, m))
+    for u, w in m.items():
+        if s.startswith(u):
+            return w + s[len(u):], c
+    raise AssertionError("point escaped the leaf partition")
+
+
+def finite_orbit_oracle(gen_maps, seed: str, points) -> bool:
+    """True iff the points are distinct, contain the seed, and are mapped
+    into themselves by every generator and every inverse (the reversed
+    map); so they hold the seed's finite orbit."""
+    pts = [parse_point_str(t) for t in points]
+    if not any(same_point(parse_point_str(seed), x) for x in pts):
+        return False
+    if any(same_point(pts[i], pts[j])
+           for i in range(len(pts)) for j in range(i + 1, len(pts))):
+        return False
+    maps = []
+    for m in gen_maps:
+        maps += [m, {w: u for u, w in m.items()}]
+    return all(any(same_point(strmap_apply_point(m, x), y) for y in pts)
+               for m in maps for x in pts)

@@ -340,8 +340,9 @@ def test_closure_certificate_finds_orbit_above_orbit_budget(sigma):
 
 
 def _closure_certificate(s, w, budgets):
-    """The certificate step after failed probes, as the driver ran it
-    before it skipped the step for closure_size <= orbit_size."""
+    """The restricted-closure certificate that the driver's larger orbit
+    probe replaced, kept as the reference for the claims of
+    docs/dynamics_notes.md, section 3."""
     from vtrees import eventually_periodic_witness, restrict, restricted_closure
     if any(e.apply_clopen(w) != w for e in s.elements):
         return None
@@ -381,11 +382,36 @@ def test_closure_certificate_cannot_succeed_within_orbit_budget(binary, wide):
                     assert _closure_certificate(
                         s, w, Budgets(orbit_size=orbit_size,
                                       closure_size=closure_size)) is None
-                certified += _closure_certificate(
-                    s, w, Budgets(orbit_size=orbit_size,
-                                  closure_size=32)) is not None
+                cert = _closure_certificate(
+                    s, w, Budgets(orbit_size=orbit_size, closure_size=32))
+                if cert is not None:
+                    # the driver's larger probe returns the same orbit
+                    assert orbit(xi, s, 32) == cert
+                    certified += 1
     # the sweep reaches the step, and a larger closure budget does certify
     assert reached >= 60 and certified >= 10
+
+
+def test_driver_uses_no_closure(sigma, monkeypatch):
+    import vtrees.alternative as alternative
+    import vtrees.subgroup as subgroup
+    from vtrees import parse_element
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the driver closed a group")
+
+    for mod in (subgroup, alternative):
+        for name in ("finite_closure", "restricted_closure", "restrict"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, boom)
+    res = dichotomy(GeneratingSet([sigma], ["sigma"]),
+                    Budgets(orbit_size=1, closure_size=4))
+    assert res.verdict == "finite-orbit"
+    hang = parse_element(sigma.tg, "pair{domain=[00,010,0110,0111,1], "
+                         "range=[00,01,10,110,111], perm=[2,0,1,3,4]}")
+    res = dichotomy(GeneratingSet([hang], ["g"]),
+                    Budgets(word_length=4, orbit_size=64, closure_size=128))
+    assert res.verdict == "finite-orbit"
 
 
 def test_round_cap_ends_in_undecided(v_gens, monkeypatch):
