@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import tee
 from typing import Iterable, Sequence
 
 from .treespace import (
@@ -54,9 +53,9 @@ from .subgroup import (
     GeneratingSet,
     Orbit,
     Word,
+    _LetterImages,
     _orbit_search,
     enumerate_elements,
-    orbit,
     word_inverse,
     word_str,
 )
@@ -232,16 +231,48 @@ def neumann_disjoint(s: GeneratingSet, a_points: Iterable[BoundaryPoint],
                      b_points: Iterable[BoundaryPoint], budget: int):
     """First element (in enumeration order) mapping the finite set A off the
     finite set B; None when the budget is exhausted."""
-    return _first_moving_off(enumerate_elements(s, budget), a_points, b_points)
+    return _first_moving_off(s, budget, a_points, b_points, _LetterImages(s))
 
 
-def _first_moving_off(elements: Iterable[tuple], a_points, b_points):
-    """``neumann_disjoint`` over given (word, element) pairs."""
-    a_points = list(a_points)
+def _first_moving_off(s: GeneratingSet, budget: int, a_points, b_points,
+                      images: _LetterImages):
+    """``neumann_disjoint``, reading and filling the letter-image table.
+
+    Whether a word u works depends only on the tuple u(A), so the search runs
+    over tuples, level by level.  Level k + 1 prepends each letter, in letter
+    order, to the words of level k (the leftmost letter acts last), which
+    lists it in shortlex order, and keeps a word only if its tuple is new.
+    The least word of a tuple has the least word of its suffix's tuple as
+    suffix, so the first word found is the first element of the shortlex
+    enumeration that works (docs/dynamics_notes.md, section 3).  Only that
+    word is composed.
+    """
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     b_set = set(b_points)
-    for word, e in elements:
-        if all(e.apply_point(p) not in b_set for p in a_points):
-            return word, e
+    start = tuple(a_points)
+    if b_set.isdisjoint(start):
+        return (), s.evaluate(())
+    seen = {start}
+    level = [((), start)]
+    for _ in range(budget):
+        new = []
+        for i, (letter, _) in enumerate(images.letters):
+            inverse = (letter[0], -letter[1])
+            for word, t in level:
+                if word and word[0] == inverse:
+                    continue  # a free reduction has an earlier tuple
+                u = tuple(images(p)[i] for p in t)
+                if u in seen:
+                    continue
+                seen.add(u)
+                w = (letter,) + word
+                if b_set.isdisjoint(u):
+                    return w, s.evaluate(w)
+                new.append((w, u))
+        if not new:
+            return None
+        level = new
     return None
 
 
@@ -320,16 +351,17 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
     """A verified ping-pong witness for the subgroup, or None over budget.
 
     ``context`` may carry (elements, words, reports) whose stable parts are
-    already known to intersect emptily; otherwise the enumeration is run
-    until that happens (or the word budget runs out).  That run and both
-    translation searches replay one enumeration.
+    already known to intersect emptily, and as a fourth item a letter-image
+    table to share with the caller; otherwise the enumeration is run until
+    that happens (or the word budget runs out).  Both translation searches
+    run over point tuples and share one letter-image table.
     """
     tg = s.tg
-    scan, first, second = tee(enumerate_elements(s, budgets.word_length), 3)
+    images = _LetterImages(s)
     if context is None:
         hs, hw, hr = [], [], []
         inter = ClopenSet.full(tg)
-        for word, e in scan:
+        for word, e in enumerate_elements(s, budgets.word_length):
             rep = dynamics(e)
             if rep.stable.is_all():
                 continue
@@ -342,20 +374,23 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
         if not inter.is_empty():
             return None
     else:
-        hs, hw, hr = context
+        hs, hw, hr = context[:3]
+        if len(context) > 3:
+            images = context[3]
 
     b_points = _hyperbolic_points(hr)
     if not b_points:
         return None
 
-    found = _first_moving_off(first, b_points, b_points)
+    found = _first_moving_off(s, budgets.word_length, b_points, b_points,
+                              images)
     if found is None:
         return None
     u_word, u = found
     a1 = [u.apply_point(p) for p in b_points]
     b1 = list(b_points)
     spread = sorted(set(a1) | set(b1), key=lambda p: p.sort_key())
-    found = _first_moving_off(second, spread, spread)
+    found = _first_moving_off(s, budgets.word_length, spread, spread, images)
     if found is None:
         return None
     w_word, w = found
@@ -452,27 +487,30 @@ def dichotomy(s: GeneratingSet, budgets: Budgets = Budgets()) -> DichotomyResult
 
 
 class _Run:
-    """One ``dichotomy`` call: the points whose orbits overflowed, and the
-    frontier that an undecided verdict reports."""
+    """One ``dichotomy`` call: the letter-image table its point searches
+    share, the points whose orbits overflowed, and the frontier that an
+    undecided verdict reports."""
 
     def __init__(self, s: GeneratingSet, budgets: Budgets):
         self.s = s
         self.budgets = budgets
-        self.overflowed: set = set()
+        self.images = _LetterImages(s)
+        self.overflowed: dict = {}  # bound -> points with a larger orbit
         self.scanned = 0
         self.inter = ClopenSet.full(s.tg)
         self.contributors: list = []
         self.candidates: list = []
 
-    def probe(self, xi: BoundaryPoint) -> Orbit | None:
-        """``orbit(xi, s, orbit_size)``.  A point reached by an earlier
-        search that overflowed has that same orbit, so it is not searched
-        again (docs/dynamics_notes.md, section 3)."""
-        if xi in self.overflowed:
+    def probe(self, xi: BoundaryPoint, bound: int) -> Orbit | None:
+        """``orbit(xi, s, bound)``.  A point reached by an earlier search to
+        the same bound that overflowed has that same orbit, so it is not
+        searched again (docs/dynamics_notes.md, section 3)."""
+        memo = self.overflowed.setdefault(bound, set())
+        if xi in memo:
             return None
-        res, reached = _orbit_search(xi, self.s, self.budgets.orbit_size)
+        res, reached = _orbit_search(xi, self.s, bound, self.images)
         if res is None:
-            self.overflowed.update(reached)
+            memo.update(reached)
         return res
 
     def decide(self) -> DichotomyResult:
@@ -501,17 +539,18 @@ class _Run:
         s, budgets = self.s, self.budgets
         # direct orbit probes from a witness point in each ball
         for ball in w.balls()[:16]:
-            res = self.probe(eventually_periodic_witness(s.tg, ball))
+            res = self.probe(eventually_periodic_witness(s.tg, ball),
+                             budgets.orbit_size)
             if res is not None:
                 return res
         # a larger probe at the first witness, bounded by closure_size.  The
         # probe above overflowed there, so this one can close only when
-        # closure_size > orbit_size.  The memo records only "more than
-        # orbit_size", so it is bypassed (docs/dynamics_notes.md, section 3).
+        # closure_size > orbit_size; it keeps its own memo of points whose
+        # orbits exceed closure_size (docs/dynamics_notes.md, section 3).
         if budgets.closure_size <= budgets.orbit_size:
             return None
-        return orbit(eventually_periodic_witness(s.tg, w.balls()[0]), s,
-                     budgets.closure_size)
+        return self.probe(eventually_periodic_witness(s.tg, w.balls()[0]),
+                          budgets.closure_size)
 
     def empty_core_branch(self) -> DichotomyResult:
         hs = [e for _, e, _ in self.contributors]
@@ -521,10 +560,11 @@ class _Run:
         # complete finite-orbit scan: an invariant measure would have an atom
         # in the hyperbolic point set (see module docstring)
         for xi in self.candidates:
-            res = self.probe(xi)
+            res = self.probe(xi, self.budgets.orbit_size)
             if res is not None:
                 return DichotomyResult("finite-orbit", orbit=res)
-        witness = build_pingpong(self.s, self.budgets, context=(hs, hw, hr))
+        witness = build_pingpong(self.s, self.budgets,
+                                 context=(hs, hw, hr, self.images))
         if witness is not None:
             return DichotomyResult("ping-pong", witness=witness)
         return self.undecided(

@@ -124,6 +124,7 @@ class GeneratingSet:
         self.tg = tg
         self.elements = tuple(elements)
         self.names = tuple(names)
+        self._letters = None
 
     @staticmethod
     def from_named(named: Mapping[str, Element]) -> "GeneratingSet":
@@ -132,20 +133,21 @@ class GeneratingSet:
 
     def letters(self) -> tuple:
         """(word letter, element) for every generator and inverse, in
-        enumeration order: generator order, plain before inverse."""
-        out = []
-        for name, e in zip(self.names, self.elements):
-            out.append(((name, 1), e))
-            out.append(((name, -1), e.inverse()))
-        return tuple(out)
+        enumeration order: generator order, plain before inverse.  The
+        inverses are computed on the first call only."""
+        if self._letters is None:
+            self._letters = tuple(
+                item for name, e in zip(self.names, self.elements)
+                for item in (((name, 1), e), ((name, -1), e.inverse())))
+        return self._letters
 
     def evaluate(self, word: Word) -> Element:
-        table = dict(zip(self.names, self.elements))
+        table = dict(self.letters())
         out = identity(self.tg)
         for name, sign in reversed(word):
-            if name not in table:
+            g = table.get((name, 1 if sign > 0 else -1))
+            if g is None:
                 raise ValueError(f"unknown generator {name!r} in word")
-            g = table[name] if sign > 0 else table[name].inverse()
             out = compose(g, out)
         return out
 
@@ -350,29 +352,49 @@ class Orbit:
         return len(self.points)
 
 
+class _LetterImages:
+    """Memoised images of points under the letters of one generating set:
+    ``images(p)[i]`` is the image of p under the element of
+    ``s.letters()[i]``.  Searches that share a table share its images."""
+
+    __slots__ = ("letters", "rows")
+
+    def __init__(self, s: GeneratingSet):
+        self.letters = s.letters()
+        self.rows = {}
+
+    def __call__(self, p: BoundaryPoint) -> list:
+        row = self.rows.get(p)
+        if row is None:
+            row = self.rows[p] = [le.apply_point(p) for _, le in self.letters]
+        return row
+
+
 def orbit(x: BoundaryPoint, s: GeneratingSet, bound: int) -> Orbit | None:
     """The orbit of x under the subgroup if it has at most ``bound`` points,
     else None.  Exact point arithmetic throughout."""
     return _orbit_search(x, s, bound)[0]
 
 
-def _orbit_search(x: BoundaryPoint, s: GeneratingSet, bound: int) -> tuple:
+def _orbit_search(x: BoundaryPoint, s: GeneratingSet, bound: int,
+                  images: _LetterImages | None = None) -> tuple:
     """(orbit, None) as ``orbit`` finds it, or (None, the points reached)
     when the orbit has more than ``bound`` points.  Every point reached lies
-    in x's orbit, so each of them has the same too-large orbit."""
+    in x's orbit, so each of them has the same too-large orbit.  Letter
+    images are read from and added to ``images`` when it is given."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if x.tg != s.tg:
         raise ValueError("point over a different type graph")
+    if images is None:
+        images = _LetterImages(s)
     words = {x: ()}
     queue = [x]
-    letters = s.letters()
     i = 0
     while i < len(queue):
         y = queue[i]
         i += 1
-        for letter, le in letters:
-            z = le.apply_point(y)
+        for (letter, _), z in zip(images.letters, images(y)):
             if z not in words:
                 if len(words) >= bound:
                     return None, words.keys()

@@ -10,7 +10,9 @@ different routes to the same value:
 - finite unrollings of type graphs for isomorphism checks;
 - depth-n enumeration of ball addresses for clopen membership;
 - the revealing condition, from the raw leaf map of a tree pair;
-- finite orbits, closed under string maps on point strings.
+- finite orbits, closed under string maps on point strings;
+- ping-pong witnesses, from their pair strings and ball lists;
+- the translation search that composes every enumerated element.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import string
+
+DIGITS = string.digits + string.ascii_lowercase  # child index -> address digit
 
 
 # ---------------------------------------------------------------------------
@@ -267,3 +272,75 @@ def finite_orbit_oracle(gen_maps, seed: str, points) -> bool:
         maps += [m, {w: u for u, w in m.items()}]
     return all(any(same_point(strmap_apply_point(m, x), y) for y in pts)
                for m in maps for x in pts)
+
+
+# ---------------------------------------------------------------------------
+# Ping-pong witnesses from pair strings and ball lists
+
+
+def parse_pair_strmap(text: str) -> dict:
+    """The string leaf map of a ``pair{domain=[...], range=[...],
+    perm=[...]}`` string; an empty list is the root leaf."""
+    m = re.fullmatch(r"pair\{domain=\[([^]]*)\], range=\[([^]]*)\], "
+                     r"perm=\[([^]]*)\]\}", text)
+    if m is None:
+        raise ValueError(f"not a tree pair: {text!r}")
+    dom, ran = ([a.strip() for a in g.split(",")] for g in m.groups()[:2])
+    perm = [int(i) for i in m.group(3).split(",")]
+    return {u: ran[pi] for u, pi in zip(dom, perm)}
+
+
+def balls_meet(xs, ys) -> bool:
+    """True iff some ball of xs and some ball of ys are nested."""
+    return any(x.startswith(y) or y.startswith(x) for x in xs for y in ys)
+
+
+def complement_balls(balls, arity_of, node: str = "") -> list:
+    """The maximal balls below ``node`` that miss every given ball."""
+    if any(node.startswith(b) for b in balls):
+        return []
+    if not any(b.startswith(node) for b in balls):
+        return [node]
+    return [c for i in range(arity_of(node))
+            for c in complement_balls(balls, arity_of, node + DIGITS[i])]
+
+
+def strmap_image_balls(m: dict, ball: str) -> list:
+    """Image balls of a ball: translated when it lies below a domain leaf,
+    split along the domain leaves below it otherwise."""
+    for u, w in m.items():
+        if ball.startswith(u):
+            return [w + ball[len(u):]]
+    return [w for u, w in m.items() if u.startswith(ball)]
+
+
+def pingpong_oracle(g: str, h: str, u1, v1, u2, v2, arity_of) -> bool:
+    """True iff U1, V1, U2, V2 (ball strings) are pairwise disjoint and the
+    pairs g, h (pair strings) map X - U1 into V1 and X - U2 into V2."""
+    sets = [list(u1), list(v1), list(u2), list(v2)]
+    if any(balls_meet(sets[i], sets[j])
+           for i in range(4) for j in range(i + 1, 4)):
+        return False
+    for pair, u, v in ((g, u1, v1), (h, u2, v2)):
+        m = parse_pair_strmap(pair)
+        for ball in complement_balls(u, arity_of):
+            for image in strmap_image_balls(m, ball):
+                if not any(image.startswith(b) for b in v):
+                    return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Translation search by element enumeration
+
+
+def first_moving_off_by_elements(elements, a_points, b_points):
+    """The first (word, element) of an enumeration that maps every point of
+    A off B, or None: the translation search that composes every element
+    it enumerates."""
+    a_points = list(a_points)
+    b_set = set(b_points)
+    for word, e in elements:
+        if all(e.apply_point(p) not in b_set for p in a_points):
+            return word, e
+    return None

@@ -414,6 +414,53 @@ def test_driver_uses_no_closure(sigma, monkeypatch):
     assert res.verdict == "finite-orbit"
 
 
+def test_larger_probe_skips_known_overflows(monkeypatch):
+    # the closure_size probe has its own memo: it never starts at a point
+    # that an earlier closure_size search of the same call overflowed
+    # through, and skipping those probes changes no output
+    import vtrees.alternative as alternative
+    from test_dichotomy_golden import BINARY, WIDE, verdict_text, with_carets
+    budgets = Budgets(word_length=4, orbit_size=16, closure_size=64)
+    rng = random.Random(2)
+    cases = [GeneratingSet([with_carets((BINARY, WIDE)[i % 2], 2 + i % 3, rng)
+                            for _ in range(2)], ["a", "b"])
+             for i in range(48)]
+    search = alternative._orbit_search
+    log = []  # (start, points reached when it overflowed) per larger search
+
+    def logged(x, s, bound, images=None):
+        res, reached = search(x, s, bound, images)
+        if bound == budgets.closure_size:
+            log.append((x, set(reached or ())))
+        return res, reached
+
+    def run_all(memo):
+        texts, searches = [], 0
+        for s in cases:
+            log.clear()
+            texts.append(verdict_text(dichotomy(s, budgets)))
+            for k, (x, _) in enumerate(log):
+                assert not memo or all(x not in r for _, r in log[:k])
+            searches += len(log)
+        return texts, searches
+
+    monkeypatch.setattr(alternative, "_orbit_search", logged)
+    texts, searches = run_all(memo=True)
+    # the same run with the closure_size memo emptied before each probe
+    probe = alternative._Run.probe
+
+    def probe_without_memo(self, xi, bound):
+        if bound == budgets.closure_size:
+            self.overflowed.pop(bound, None)
+        return probe(self, xi, bound)
+
+    monkeypatch.setattr(alternative._Run, "probe", probe_without_memo)
+    texts_off, searches_off = run_all(memo=False)
+    assert texts == texts_off
+    # 40 against 48 larger searches when this test was written
+    assert searches_off >= searches + 5
+
+
 def test_round_cap_ends_in_undecided(v_gens, monkeypatch):
     import vtrees.alternative as alternative
     from vtrees import BudgetExceeded
