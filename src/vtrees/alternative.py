@@ -408,8 +408,7 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
             break
     if star is None:
         return None
-    u1, v1, u2, v2 = (epsilon_neighborhood(tg, pts, star)
-                      for pts in (a1, b1, a2, b2))
+    u1, v1, u2, v2 = nb
 
     # g1 = contraction o u^-1 maps X - U1 into V1 once B^delta sits inside
     # u^-1(U1); the contraction then keeps it inside B^delta <= V1.

@@ -34,7 +34,7 @@ from .treespace import (
     FormatError,
     TypeGraph,
     _node_graft,
-    _node_union,
+    _node_merge,
     address_str,
     boundary_point,
     parse_address,
@@ -425,8 +425,7 @@ class Element:
             sub = _trie_at(c.node, u)
             if sub is False:
                 continue
-            out = _node_union(tg, tg.root_type, out,
-                              _node_graft(tg, tg.root_type, w, sub))
+            out = _node_merge(out, _node_graft(tg, tg.root_type, w, sub), True)
         return ClopenSet(tg, out)
 
     def __call__(self, x):

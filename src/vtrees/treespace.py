@@ -31,6 +31,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 # Clopen-set tries recurse along vertex depth, which grows with the depth of
 # the tree pairs involved (large powers of one element reach a few thousand).
+# Python's tuple == recurses down a trie as well, so iterative node
+# operations alone would not make this limit unnecessary.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 
 Address = tuple  # tuple[int, ...]; () is the root
@@ -403,61 +405,43 @@ def parse_eps(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 # Clopen sets
 #
-# A clopen set is stored as a trie whose nodes are True (the full ball below
-# this vertex), False (empty), or a tuple of child nodes, one per child of the
-# vertex.  Tuples are kept "proper": never all-True and never all-False.  This
+# A clopen set is stored as a trie with one level per tree level: a node is
+# True (the full ball below this vertex), False (empty), or a tuple of child
+# nodes, one per child of the vertex.  Tuples are kept "proper": never
+# all-True and never all-False, so a one-child vertex whose child is full is
+# True itself, and one whose child is a proper tuple stays a 1-tuple.  This
 # makes the representation canonical: two clopen sets denote the same subset
-# of the boundary iff their tries are equal.  Note that the all-children merge
-# also collapses along arity-1 chains, so balls at different vertices of a ray
-# that carry the same points get the same representation.
+# of the boundary iff their tries are equal.  Only the constructor,
+# ``_node_graft``, reads the type graph; every other operation reads the
+# tries alone.
 
 
-def _node_union(tg: TypeGraph, t: str, a, b):
-    if a is True or b is True:
-        return True
-    if a is False:
+def _node_merge(a, b, top: bool):
+    """Union (top=True) or intersection (top=False) of two tries."""
+    if a is top or b is top:
+        return top
+    if a is (not top):
         return b
-    if b is False:
+    if b is (not top):
         return a
-    kids = tuple(_node_union(tg, ct, x, y)
-                 for ct, x, y in zip(tg.children[t], a, b))
-    if all(k is True for k in kids):
-        return True
+    kids = tuple(_node_merge(x, y, top) for x, y in zip(a, b))
+    if all(k is top for k in kids):
+        return top
     return kids
 
 
-def _node_intersect(tg: TypeGraph, t: str, a, b):
-    if a is False or b is False:
-        return False
-    if a is True:
-        return b
-    if b is True:
-        return a
-    kids = tuple(_node_intersect(tg, ct, x, y)
-                 for ct, x, y in zip(tg.children[t], a, b))
-    if all(k is False for k in kids):
-        return False
-    return kids
+def _node_complement(a):
+    if a is True or a is False:
+        return not a
+    return tuple(_node_complement(x) for x in a)
 
 
-def _node_complement(tg: TypeGraph, t: str, a):
-    if a is True:
-        return False
-    if a is False:
-        return True
-    return tuple(_node_complement(tg, ct, x)
-                 for ct, x in zip(tg.children[t], a))
-
-
-def _node_subset(tg: TypeGraph, t: str, a, b) -> bool:
+def _node_subset(a, b) -> bool:
     if a is False or b is True:
         return True
-    if b is False:
-        return False  # a is not False here
-    if a is True:
-        return False  # b is a proper node, hence not the full ball
-    return all(_node_subset(tg, ct, x, y)
-               for ct, x, y in zip(tg.children[t], a, b))
+    if a is True or b is False:
+        return False  # b is a proper node, or a is nonempty
+    return all(_node_subset(x, y) for x, y in zip(a, b))
 
 
 def _node_graft(tg: TypeGraph, t: str, address: Address, sub):
@@ -471,23 +455,12 @@ def _node_graft(tg: TypeGraph, t: str, address: Address, sub):
         cur = cs[i]
     node = sub
     for i, a in zip(reversed(address), reversed(arities)):
-        if a == 1:
-            # one child: the ball below it is the whole ball here
-            continue
+        if a == 1 and node is True:
+            continue  # a one-child vertex above a full ball is full itself
         kids = [False] * a
         kids[i] = node
         node = tuple(kids)
     return node
-
-
-def _node_balls(tg: TypeGraph, t: str, node, here: Address, out: list) -> None:
-    if node is False:
-        return
-    if node is True:
-        out.append(here)
-        return
-    for i, (ct, sub) in enumerate(zip(tg.children[t], node)):
-        _node_balls(tg, ct, sub, here + (i,), out)
 
 
 @dataclass(frozen=True)
@@ -525,17 +498,14 @@ class ClopenSet:
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         self._check(other)
-        return ClopenSet(self.tg, _node_union(self.tg, self.tg.root_type,
-                                              self.node, other.node))
+        return ClopenSet(self.tg, _node_merge(self.node, other.node, True))
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         self._check(other)
-        return ClopenSet(self.tg, _node_intersect(self.tg, self.tg.root_type,
-                                                  self.node, other.node))
+        return ClopenSet(self.tg, _node_merge(self.node, other.node, False))
 
     def complement(self) -> "ClopenSet":
-        return ClopenSet(self.tg, _node_complement(self.tg, self.tg.root_type,
-                                                    self.node))
+        return ClopenSet(self.tg, _node_complement(self.node))
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
         return self.intersect(other.complement())
@@ -548,7 +518,7 @@ class ClopenSet:
 
     def subset_of(self, other: "ClopenSet") -> bool:
         self._check(other)
-        return _node_subset(self.tg, self.tg.root_type, self.node, other.node)
+        return _node_subset(self.node, other.node)
 
     # operator sugar
     __or__ = union
@@ -572,7 +542,15 @@ class ClopenSet:
     def balls(self) -> tuple:
         """The canonical antichain of ball addresses, in depth-first order."""
         out: list = []
-        _node_balls(self.tg, self.tg.root_type, self.node, (), out)
+        stack = [((), self.node)] if self.node is not False else []
+        while stack:
+            here, node = stack.pop()
+            if node is True:
+                out.append(here)
+                continue
+            for i in range(len(node) - 1, -1, -1):
+                if node[i] is not False:
+                    stack.append((here + (i,), node[i]))
         return tuple(out)
 
     def ball_strs(self) -> list:
@@ -608,23 +586,28 @@ def is_isolated(tg: TypeGraph, v: Sequence[int]) -> bool:
     return tg.is_singleton_type(tg.type_at(v))
 
 
-def point_is_isolated(x: BoundaryPoint) -> bool:
-    """True iff x is an isolated point of the boundary."""
+def _isolating_vertex(x: BoundaryPoint):
+    """The shallowest vertex on x whose ball is the single point x, or None."""
     # Only the types along one prefix-plus-cycle pass need checking: beyond
     # that the types repeat.
     for n in range(len(x.prefix) + len(x.cycle) + 1):
-        if is_isolated(x.tg, x.address_prefix(n)):
-            return True
-    return False
+        a = x.address_prefix(n)
+        if is_isolated(x.tg, a):
+            return a
+    return None
+
+
+def point_is_isolated(x: BoundaryPoint) -> bool:
+    """True iff x is an isolated point of the boundary."""
+    return _isolating_vertex(x) is not None
 
 
 def isolated_point_ball(x: BoundaryPoint) -> ClopenSet:
     """The singleton clopen {x}; raises if x is not isolated."""
-    for n in range(len(x.prefix) + len(x.cycle) + 1):
-        a = x.address_prefix(n)
-        if is_isolated(x.tg, a):
-            return ClopenSet.ball(x.tg, a)
-    raise ValueError(f"point {x} is not isolated")
+    a = _isolating_vertex(x)
+    if a is None:
+        raise ValueError(f"point {x} is not isolated")
+    return ClopenSet.ball(x.tg, a)
 
 
 def eventually_periodic_witness(tg: TypeGraph, ball: Sequence[int]) -> BoundaryPoint:

@@ -8,12 +8,15 @@ from vtrees import (
     ClopenSet,
     GeneratingSet,
     PingPongWitness,
+    TypeGraph,
     boundary_point,
     build_pingpong,
     compose,
     dichotomy,
     dynamics,
+    element_from_map,
     epsilon_neighborhood,
+    format_element,
     free_group_smoke,
     identity,
     neumann_disjoint,
@@ -26,6 +29,7 @@ from vtrees import (
 )
 
 from conftest import sample_elements
+from oracles import pingpong_oracle
 
 
 def pt(tg, prefix, cycle):
@@ -486,3 +490,33 @@ def test_bfs_node_cap_ends_in_undecided(x0, x1, sigma, monkeypatch):
     res = dichotomy(GeneratingSet([g, x0], ["g", "x0"]))
     assert res.verdict == "undecided"
     assert "_BFS_NODE_CAP" in res.diagnostics["reason"]
+
+
+# A binary tree hung below a root with one child: the boundary is the binary
+# tree's, but the clopen tries carry a one-child level at the top.
+ONE_CHILD_ROOT = TypeGraph({"c": ["d"], "d": ["d", "d"]}, "c")
+
+
+def lift_below_root(g):
+    """g acting below the only child of the root of ONE_CHILD_ROOT."""
+    lifted = {(0,) + u: (0,) + w for u, w in g.pair.leaf_map().items()}
+    return element_from_map(ONE_CHILD_ROOT, lifted)
+
+
+@pytest.mark.parametrize("names", [("x0", "sigma"),
+                                   ("x0", "x1", "sigma", "tau")])
+def test_pingpong_below_a_one_child_root(gens, names):
+    budgets = Budgets(word_length=4, orbit_size=64, closure_size=64)
+    s = GeneratingSet([lift_below_root(gens[n]) for n in names], list(names))
+    res = dichotomy(s, budgets)
+    assert res.verdict == "ping-pong"
+    w = res.witness
+    balls = [c.ball_strs() for c in (w.u1, w.v1, w.u2, w.v2)]
+    assert pingpong_oracle(format_element(w.g), format_element(w.h), *balls,
+                           lambda p: 1 if p == "" else 2)
+    # the same first witness as on the binary tree, its balls moved down
+    base = dichotomy(GeneratingSet([gens[n] for n in names], list(names)),
+                     budgets).witness
+    assert (w.g_word, w.h_word) == (base.g_word, base.h_word)
+    assert balls == [["0" + b for b in c.ball_strs()]
+                     for c in (base.u1, base.v1, base.u2, base.v2)]

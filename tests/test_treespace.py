@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,14 @@ from vtrees import (
     boundary_point,
     epsilon_neighborhood,
     eventually_periodic_witness,
+    format_element,
     is_isolated,
     load_type_graph,
     parse_address,
     parse_eps,
     parse_point,
     point_is_isolated,
+    random_element,
     subtree_isomorphic,
     visual_distance,
 )
@@ -29,6 +32,8 @@ from oracles import (
     iso_to_depth,
     max_ball_depth,
     order_iso_to_depth,
+    parse_pair_strmap,
+    strmap_image_balls,
 )
 
 
@@ -204,15 +209,20 @@ def ball(tg, digits):
     return ClopenSet.ball(tg, parse_address(digits))
 
 
+def random_walk(tg, rng, start, steps):
+    out = list(start)
+    t = tg.type_at(start)
+    for _ in range(steps):
+        i = rng.randrange(tg.arity(t))
+        out.append(i)
+        t = tg.children[t][i]
+    return tuple(out)
+
+
 def random_clopen(tg, rng, depth=4, count=3):
     out = ClopenSet.empty(tg)
     for _ in range(rng.randint(0, count)):
-        addr = []
-        t = tg.root_type
-        for _ in range(rng.randint(0, depth)):
-            i = rng.randrange(tg.arity(t))
-            addr.append(i)
-            t = tg.children[t][i]
+        addr = random_walk(tg, rng, (), rng.randint(0, depth))
         out = out.union(ClopenSet.ball(tg, addr))
     return out
 
@@ -266,6 +276,82 @@ def test_contains_point_matches_bruteforce(binary, wide):
             x = random_point(tg, rng)
             depth = max_ball_depth(c) + len(x.prefix) + len(x.cycle)
             assert c.contains_point(x) == contains_point_bruteforce(c, x, depth)
+
+
+# Trees where a vertex has exactly one child and its subtree still branches:
+# a one-child root above a binary tree, and one-child levels at every other
+# depth.
+ONE_CHILD_ROOT = TypeGraph({"c": ["d"], "d": ["d", "d"]}, "c")
+ALTERNATING = TypeGraph({"a": ["b"], "b": ["a", "a"]}, "a")
+
+
+def random_end_near(tg, rng, addresses):
+    """A random eventually periodic end, half the time through one of the
+    given vertices."""
+    start = rng.choice(addresses) if addresses and rng.random() < 0.5 else ()
+    prefix = random_walk(tg, rng, start, rng.randint(0, 3))
+    for _ in range(10):
+        cycle = random_walk(tg, rng, prefix, rng.randint(1, 3))[len(prefix):]
+        try:
+            return boundary_point(tg, prefix, cycle)
+        except ValueError:
+            pass  # the cycle leaves the tree on a later pass
+    return boundary_point(tg, prefix, (0,))
+
+
+def in_balls(x, addresses) -> bool:
+    return any(x.address_prefix(len(w)) == tuple(w) for w in addresses)
+
+
+def test_clopen_membership_against_input_ball_lists(binary, wide, ray):
+    # Expected values come from prefix tests on the ball lists the sets were
+    # built from, never from the library's own listing of a set.
+    rng = random.Random(23)
+    for tg in (binary, wide, ray, ONE_CHILD_ROOT, ALTERNATING):
+        for _ in range(60):
+            la, lb = ([random_walk(tg, rng, (), rng.randint(1, 6))
+                       for _ in range(rng.randint(0, 4))] for _ in range(2))
+            a = ClopenSet.from_balls(tg, la)
+            b = ClopenSet.from_balls(tg, lb)
+            listed = [parse_address(s) for s in a.ball_strs()]
+            assert ClopenSet.from_balls(tg, listed) == a
+            g = random_element(tg, 4, rng)
+            m = parse_pair_strmap(format_element(g))
+            image = [parse_address(w) for ball in la
+                     for w in strmap_image_balls(m, address_str(ball))]
+            ga = g.apply_clopen(a)
+            for _ in range(20):
+                x = random_end_near(tg, rng, la + lb)
+                ia, ib = in_balls(x, la), in_balls(x, lb)
+                assert a.contains_point(x) == ia
+                assert (a | b).contains_point(x) == (ia or ib)
+                assert (a & b).contains_point(x) == (ia and ib)
+                assert (~a).contains_point(x) == (not ia)
+                assert (a - b).contains_point(x) == (ia and not ib)
+                assert in_balls(x, listed) == ia
+                assert ga.contains_point(x) == in_balls(x, image)
+
+
+def test_one_child_root_balls_pinned():
+    tg = ONE_CHILD_ROOT
+    assert ball(tg, "0111").ball_strs() == ["0111"]
+    assert (ball(tg, "000") | ball(tg, "01")).ball_strs() == ["000", "01"]
+    # the ball at the only child of the root is the whole boundary
+    assert ball(tg, "0").is_all()
+    assert (ball(tg, "00") | ball(tg, "01")).is_all()
+
+
+def test_deep_ball_listing_memory(wide):
+    d = 4000
+    c = ClopenSet.from_balls(wide, [(0,) * d, (0,) * (d - 1) + (1,)])
+    tracemalloc.start()
+    try:
+        balls = c.balls()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert balls == ((0,) * (d - 1),)
+    assert peak < 4 * 2 ** 20
 
 
 def test_ray_tree_ball_collapse(ray):
