@@ -336,8 +336,8 @@ def free_group_smoke(g: Element, h: Element, length: int) -> bool:
 
 
 def _shrink_radius(tg: TypeGraph, points, predicate, depth_budget: int):
-    """Largest radius 2^-m (m < depth_budget) whose neighborhood of the
-    points satisfies the predicate; None if none does."""
+    """Largest radius 2^-m (0 <= m <= depth_budget) whose neighborhood of
+    the points satisfies the predicate; None if none does."""
     for m in range(depth_budget + 1):
         eps = Fraction(1, 2 ** m)
         nbhd = epsilon_neighborhood(tg, points, eps)

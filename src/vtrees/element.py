@@ -36,7 +36,7 @@ from .treespace import (
     _node_graft,
     _node_merge,
     address_str,
-    boundary_point,
+    junction_point,
     parse_address,
 )
 
@@ -70,17 +70,6 @@ def shape_at(shape, address: Address):
             return None
         node = node[i]
     return node
-
-
-def leaf_depth(shape, index_at: Callable[[int], int]) -> int:
-    """Depth of the leaf of ``shape`` on the path whose child index at
-    depth n is ``index_at(n)`` (the path must reach that leaf)."""
-    node = shape
-    n = 0
-    while node is not None:
-        node = node[index_at(n)]
-        n += 1
-    return n
 
 
 def interior_vertices(leaves: Iterable[Address]) -> set:
@@ -165,7 +154,7 @@ class TreePair:
     """
 
     __slots__ = ("tg", "domain", "range", "perm", "domain_leaves",
-                 "range_leaves", "_hash")
+                 "range_leaves", "domain_types", "range_types", "_hash")
 
     def __init__(self, tg: TypeGraph, domain, range_, perm: Sequence[int]):
         self.tg = tg
@@ -178,13 +167,14 @@ class TreePair:
             raise ValueError("domain and range trees have different leaf counts")
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm is not a bijection of leaf indices")
-        for u, pi in zip(self.domain_leaves, self.perm):
-            w = self.range_leaves[pi]
-            if not tg.subtree_order_isomorphic(tg.type_at(u), tg.type_at(w)):
+        self.domain_types = tuple(tg.type_at(u) for u in self.domain_leaves)
+        self.range_types = tuple(tg.type_at(w) for w in self.range_leaves)
+        for u, t, pi in zip(self.domain_leaves, self.domain_types, self.perm):
+            if not tg.subtree_order_isomorphic(t, self.range_types[pi]):
                 raise ValueError(
-                    f"leaf {address_str(u)!r} (type {tg.type_at(u)!r}) cannot be "
-                    f"paired with {address_str(w)!r} (type {tg.type_at(w)!r}): "
-                    "subtrees are not order-isomorphic")
+                    f"leaf {address_str(u)!r} (type {t!r}) cannot be paired with "
+                    f"{address_str(self.range_leaves[pi])!r} (type "
+                    f"{self.range_types[pi]!r}): subtrees are not order-isomorphic")
         self._hash = hash((tg, self.domain, self.range, self.perm))
 
     @staticmethod
@@ -407,14 +397,24 @@ class Element:
     # the action ------------------------------------------------------------
 
     def apply_point(self, x: BoundaryPoint) -> BoundaryPoint:
-        if x.tg != self.tg:
+        tg = self.tg
+        if x.tg is not tg and x.tg != tg:
             raise ValueError("point over a different type graph")
         p = self.pair
-        n = leaf_depth(p.domain, x.index_at)
-        i = bisect_left(p.domain_leaves, x.address_prefix(n))
-        w = p.range_leaves[p.perm[i]]
+        # the domain leaf above x: walk the domain shape along x's indices
+        path = x.prefix
+        node = p.domain
+        n = 0
+        while node is not None:
+            if n == len(path):
+                path += x.cycle
+            node = node[path[n]]
+            n += 1
+        i = bisect_left(p.domain_leaves, path[:n])
+        j = p.perm[i]
         tail_prefix, tail_cycle = x.drop(n)
-        return boundary_point(self.tg, w + tail_prefix, tail_cycle)
+        return junction_point(tg, p.range_leaves[j], p.range_types[j],
+                              p.domain_types[i], tail_prefix, tail_cycle)
 
     def apply_clopen(self, c: ClopenSet) -> ClopenSet:
         if c.tg != self.tg:

@@ -259,9 +259,23 @@ class BoundaryPoint:
     def sort_key(self) -> tuple:
         return (self.prefix, self.cycle)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BoundaryPoint:
+            return NotImplemented
+        return (self.prefix == other.prefix and self.cycle == other.cycle
+                and (self.tg is other.tg or self.tg == other.tg))
+
+    def __hash__(self) -> int:
+        # Orbit searches and image tables hash every point they meet; the
+        # value is the one the dataclass would compute, made once.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.tg, self.prefix, self.cycle))
+        return h
+
 
 def boundary_point(tg: TypeGraph, prefix: Sequence[int], cycle: Sequence[int]) -> BoundaryPoint:
-    """Build the end prefixid(cycle)^inf in canonical form.
+    """Build the end prefix(cycle)^inf in canonical form.
 
     Raises ValueError if the infinite path is not valid in ``tg``.
     """
@@ -269,71 +283,76 @@ def boundary_point(tg: TypeGraph, prefix: Sequence[int], cycle: Sequence[int]) -
     cycle = tuple(cycle)
     if not cycle:
         raise ValueError("cycle must be nonempty")
+    return BoundaryPoint(tg, *_canonical(tg, tg.root_type, prefix, cycle))
 
-    # Validate the prefix and record the type at its end.
-    t = tg.root_type
-    for i in prefix:
-        cs = tg.children[t]
+
+def junction_point(tg: TypeGraph, w: Address, w_type: str, tail_type: str,
+                   tail_prefix: Address, tail_cycle: Address) -> BoundaryPoint:
+    """The canonical end w tail_prefix (tail_cycle)^inf.
+
+    ``w`` is a vertex of type ``w_type``, and (tail_prefix, tail_cycle) is
+    canonical below a vertex of type ``tail_type``, as the tail of a
+    canonical point below any vertex it passes is.  When the two types are
+    equal the tail takes the same (type, index) steps below ``w``, so only the
+    junction can change: the prefix shrinks into ``w`` when the tail prefix
+    is empty (docs/dynamics_notes.md, section 4).
+    """
+    if w_type != tail_type:
+        tail_prefix, tail_cycle = _canonical(tg, w_type, tail_prefix, tail_cycle)
+    if tail_prefix or not w or w[-1] != tail_cycle[-1]:
+        return BoundaryPoint(tg, w + tail_prefix, tail_cycle)
+    n, k = _shrink(_steps(tg, tg.root_type, w)[0], len(w),
+                   _steps(tg, w_type, tail_cycle)[0])
+    return BoundaryPoint(tg, w[:n], tail_cycle[k:] + tail_cycle[:k])
+
+
+def _steps(tg: TypeGraph, t: str, path: Address) -> tuple[list, str]:
+    """The (type, index) steps of ``path`` from a vertex of type t, and the
+    type it ends at.  Raises ValueError at an index the tree does not have."""
+    children = tg.children
+    steps = []
+    for i in path:
+        cs = children[t]
         if not 0 <= i < len(cs):
             raise ValueError(f"invalid index {i} at type {t!r}")
+        steps.append((t, i))
         t = cs[i]
+    return steps, t
 
-    # Walk whole copies of the cycle until the entry type repeats; this both
-    # validates the path and makes the representation type consistent.
-    start_types = {t: 0}
-    types_seq = [t]
-    cur = t
-    while True:
-        for i in cycle:
-            cs = tg.children[cur]
-            if not 0 <= i < len(cs):
-                raise ValueError(f"invalid index {i} at type {cur!r}")
-            cur = cs[i]
-        if cur in start_types:
-            j = start_types[cur]
-            k = len(types_seq)
-            break
-        start_types[cur] = len(types_seq)
-        types_seq.append(cur)
-    prefix = prefix + cycle * j
-    cycle = cycle * (k - j)
 
-    # Reduce the cycle to a primitive block, comparing (type, index) pairs so
-    # the block still returns to its entry type.
-    t0 = tg.type_at(prefix)
-    pair_cycle = []
-    cur = t0
-    for i in cycle:
-        pair_cycle.append((cur, i))
-        cur = tg.children[cur][i]
-    m = len(cycle)
-    for d in range(1, m + 1):
-        if m % d:
-            continue
-        if pair_cycle[:d] * (m // d) == pair_cycle:
-            cycle = cycle[:d]
-            break
+def _shrink(steps: list, n: int, loop: list) -> tuple[int, int]:
+    """Absorb the last of ``steps[:n]`` into the periodic part ``loop^inf``
+    while it equals the last step of the (rotated) loop.  Returns the new n
+    and k such that the loop now starts at its step k."""
+    d = len(loop)
+    j = d - 1
+    while n and steps[n - 1] == loop[j]:
+        n -= 1
+        j = j - 1 if j else d - 1
+    return n, (j + 1) % d
 
-    # Shrink the prefix: absorb its last step into the cycle whenever the
-    # (type, index) pair there matches the last pair of the cycle.
-    prefix = list(prefix)
-    cycle = list(cycle)
-    types_on_prefix = [tg.root_type]
-    for i in prefix:
-        types_on_prefix.append(tg.children[types_on_prefix[-1]][i])
-    while prefix:
-        t_end = types_on_prefix[-1]
-        # type just before the last cycle step, walking from t_end
-        cur = t_end
-        for i in cycle[:-1]:
-            cur = tg.children[cur][i]
-        if prefix[-1] == cycle[-1] and types_on_prefix[-2] == cur:
-            cycle.insert(0, cycle.pop())
-            prefix.pop()
-            types_on_prefix.pop()
-        else:
-            break
-    return BoundaryPoint(tg, tuple(prefix), tuple(cycle))
+
+def _canonical(tg: TypeGraph, t: str, prefix: Address, cycle: Address) -> tuple[Address, Address]:
+    """Canonical (prefix, cycle) of the path prefix cycle^inf from a vertex of
+    type t: its (type, index) steps are periodic from step len(prefix) on,
+    with least period len(cycle), and from no earlier step."""
+    # One walk: the prefix, then whole copies of the cycle until a copy
+    # starts at an entry type seen before; from there the steps repeat.
+    steps, t = _steps(tg, t, prefix)
+    path = prefix
+    entries = {}
+    while t not in entries:
+        entries[t] = len(steps)
+        more, t = _steps(tg, t, cycle)
+        steps += more
+        path += cycle
+    start = entries[t]
+    loop = steps[start:]
+    m = len(loop)
+    d = next(d for d in range(1, m + 1)
+             if not m % d and loop[:d] * (m // d) == loop)
+    n, k = _shrink(steps, start, loop[:d])
+    return path[:n], path[start + k:start + d] + path[start:start + k]
 
 
 def parse_point(tg: TypeGraph, text: str) -> BoundaryPoint:

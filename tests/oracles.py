@@ -10,6 +10,8 @@ different routes to the same value:
 - finite unrollings of type graphs for isomorphism checks;
 - depth-n enumeration of ball addresses for clopen membership;
 - the revealing condition, from the raw leaf map of a tree pair;
+- canonical forms of eventually periodic ends, from their (type, index)
+  sequences;
 - finite orbits, closed under string maps on point strings;
 - ping-pong witnesses, from their pair strings and ball lists;
 - the translation search that composes every enumerated element.
@@ -255,6 +257,34 @@ def strmap_apply_point(m: dict, x: tuple) -> tuple:
         if s.startswith(u):
             return w + s[len(u):], c
     raise AssertionError("point escaped the leaf partition")
+
+
+def canonical_point_oracle(children: dict, root: str, prefix, cycle) -> tuple:
+    """Canonical (prefix, cycle) of the end prefix cycle^inf of the tree
+    unrolled from ``root``: the least L from which its (type, index)
+    sequence is purely periodic, then its least period.
+
+    From step len(prefix) on, the pair (type, position in the cycle)
+    determines the rest of the sequence; there are at most
+    M = len(children) * len(cycle) such states, so the sequence is periodic
+    from P = len(prefix) + M with some period q <= M.  A candidate period
+    that holds over the M steps from P holds for good.
+    """
+    prefix, cycle = list(prefix), list(cycle)
+    m = len(children) * len(cycle)
+    start = len(prefix) + m
+    indices = prefix + cycle * (3 * m + 1)
+    seq = []
+    t = root
+    for i in indices:
+        seq.append((t, i))
+        t = children[t][i]
+    p = next(p for p in range(1, m + 1)
+             if all(seq[i] == seq[i + p] for i in range(start, start + m)))
+    n = start
+    while n and seq[n - 1] == seq[n - 1 + p]:
+        n -= 1
+    return tuple(indices[:n]), tuple(indices[n:n + p])
 
 
 def finite_orbit_oracle(gen_maps, seed: str, points) -> bool:

@@ -1,7 +1,9 @@
-"""Source hygiene: every module-level import of the library is used.
+"""Source hygiene of the library.
 
-``__init__.py`` is exempt, because its imports are the public re-exports,
-and so are ``from __future__`` imports.
+- Every module-level import is used.  ``__init__.py`` is exempt, because its
+  imports are the public re-exports, and so are ``from __future__`` imports.
+- Only ``treespace.py`` constructs ``BoundaryPoint`` directly, so every point
+  the library makes has been canonicalised there.
 """
 
 import ast
@@ -34,4 +36,25 @@ def test_library_has_no_unused_imports():
     assert modules
     found = {p.name: unused_imports(p.read_text(encoding="utf-8"))
              for p in modules}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def point_constructions(source: str) -> int:
+    """The number of ``BoundaryPoint(...)`` calls in a module."""
+    return sum(isinstance(n, ast.Call)
+               and "BoundaryPoint" in (getattr(n.func, "id", None),
+                                       getattr(n.func, "attr", None))
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_point_constructions_are_detected():
+    assert point_constructions("BoundaryPoint(tg, (), (0,))\n"
+                               "treespace.BoundaryPoint(tg, p, c)\n"
+                               "isinstance(x, BoundaryPoint)\n") == 2
+
+
+def test_points_are_built_only_by_treespace():
+    found = {p.name: point_constructions(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "treespace.py"}
+    assert found
     assert {k: v for k, v in found.items() if v} == {}
