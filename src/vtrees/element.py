@@ -33,8 +33,7 @@ from .treespace import (
     ClopenSet,
     FormatError,
     TypeGraph,
-    _node_graft,
-    _node_merge,
+    _node_build,
     address_str,
     junction_point,
     parse_address,
@@ -419,14 +418,10 @@ class Element:
     def apply_clopen(self, c: ClopenSet) -> ClopenSet:
         if c.tg != self.tg:
             raise ValueError("clopen set over a different type graph")
-        tg = self.tg
-        out = False
-        for u, w in self.pair.leaf_map().items():
-            sub = _trie_at(c.node, u)
-            if sub is False:
-                continue
-            out = _node_merge(out, _node_graft(tg, tg.root_type, w, sub), True)
-        return ClopenSet(tg, out)
+        p = self.pair
+        return ClopenSet(self.tg, _node_build(self.tg, (
+            (p.range_leaves[j], _trie_at(c.node, u))
+            for u, j in zip(p.domain_leaves, p.perm))))
 
     def __call__(self, x):
         if isinstance(x, BoundaryPoint):

@@ -359,13 +359,9 @@ def report_from_revealing(g: Element, pair: TreePair) -> DynamicsReport:
 def _report(g: Element, pair: TreePair, ch) -> DynamicsReport:
     """The report for g from a revealing pair and its chains."""
     tg = g.tg
-    stable = ClopenSet.empty(tg)
-    periods = []
-    for c in ch:
-        if c.kind == "periodic":
-            periods.append(c.period)
-            for v in c.vertices:
-                stable = stable.union(ClopenSet.ball(tg, v))
+    periodic = [c for c in ch if c.kind == "periodic"]
+    periods = [c.period for c in periodic]
+    stable = ClopenSet.from_balls(tg, (v for c in periodic for v in c.vertices))
 
     att_pts = []
     rep_pts = []

@@ -27,6 +27,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Clopen-set tries recurse along vertex depth, which grows with the depth of
@@ -430,8 +431,8 @@ def parse_eps(text: str) -> Fraction:
 # all-True and never all-False, so a one-child vertex whose child is full is
 # True itself, and one whose child is a proper tuple stays a 1-tuple.  This
 # makes the representation canonical: two clopen sets denote the same subset
-# of the boundary iff their tries are equal.  Only the constructor,
-# ``_node_graft``, reads the type graph; every other operation reads the
+# of the boundary iff their tries are equal.  Only the builder,
+# ``_node_build``, reads the type graph; every other operation reads the
 # tries alone.
 
 
@@ -463,23 +464,74 @@ def _node_subset(a, b) -> bool:
     return all(_node_subset(x, y) for x, y in zip(a, b))
 
 
-def _node_graft(tg: TypeGraph, t: str, address: Address, sub):
-    """The trie that is ``sub`` (not False) below ``address`` and empty
-    elsewhere; the ball at ``address`` is the graft of True."""
-    arities = []
-    cur = t
-    for i in address:
-        cs = tg.children[cur]
-        arities.append(len(cs))
-        cur = cs[i]
-    node = sub
-    for i, a in zip(reversed(address), reversed(arities)):
-        if a == 1 and node is True:
-            continue  # a one-child vertex above a full ball is full itself
-        kids = [False] * a
-        kids[i] = node
-        node = tuple(kids)
-    return node
+def _node_build(tg: TypeGraph, pieces: Iterable[tuple]):
+    """The trie of the union of ``(address, sub)`` pieces, each the trie
+    ``sub`` below the vertex ``address``; an empty ``sub`` adds nothing.
+
+    Every address of a nonempty piece is checked in input order first.
+    Then one pass over the pieces sorted by address keeps the open vertices
+    on a stack: each trie vertex is opened and closed once, a piece below a
+    full ball is skipped, and only two proper tries at one address are
+    merged.
+    """
+    pieces = [(tuple(a), sub) for a, sub in pieces if sub is not False]
+    for a, _ in pieces:
+        if not tg.is_valid_address(a):
+            raise ValueError(f"invalid address {address_str(a)!r}")
+    pieces.sort(key=itemgetter(0))
+    children = tg.children
+    root = False
+    for a, sub in pieces:  # the pieces at the root come first
+        if a:
+            break
+        root = _node_merge(root, sub, True)
+    if root is True:
+        return True
+    # stack[k] is (type, children) of the open vertex at here[:k]
+    here: list = []
+    stack = [(tg.root_type, _open(root, len(children[tg.root_type])))]
+    for a, sub in pieces:
+        if not a:
+            continue
+        last = len(a) - 1
+        n = 0
+        while n < len(here) and n < last and here[n] == a[n]:
+            n += 1
+        while len(here) > n:
+            _close(stack, here)
+        while n < last:
+            i = a[n]
+            t, row = stack[-1]
+            if row[i] is True:
+                break  # below a full ball
+            t = children[t][i]
+            stack.append((t, _open(row[i], len(children[t]))))
+            here.append(i)
+            n += 1
+        else:
+            row = stack[-1][1]
+            row[a[-1]] = _node_merge(row[a[-1]], sub, True)
+    while here:
+        _close(stack, here)
+    row = stack[0][1]
+    return False if row.count(False) == len(row) else _closed(row)
+
+
+def _open(node, arity: int) -> list:
+    """The children of ``node`` (not True), as a list to fill in."""
+    return list(node) if node is not False else [False] * arity
+
+
+def _closed(row: list):
+    # count compares with ==, which is exact here: a row holds only True,
+    # False and tuples
+    return True if row.count(True) == len(row) else tuple(row)
+
+
+def _close(stack: list, here: list) -> None:
+    """Close the deepest open vertex into its slot in its parent."""
+    node = _closed(stack.pop()[1])
+    stack[-1][1][here.pop()] = node
 
 
 @dataclass(frozen=True)
@@ -499,17 +551,11 @@ class ClopenSet:
 
     @staticmethod
     def ball(tg: TypeGraph, address: Sequence[int]) -> "ClopenSet":
-        address = tuple(address)
-        if not tg.is_valid_address(address):
-            raise ValueError(f"invalid address {address_str(address)!r}")
-        return ClopenSet(tg, _node_graft(tg, tg.root_type, address, True))
+        return ClopenSet.from_balls(tg, (address,))
 
     @staticmethod
     def from_balls(tg: TypeGraph, addresses: Iterable[Sequence[int]]) -> "ClopenSet":
-        out = ClopenSet.empty(tg)
-        for a in addresses:
-            out = out.union(ClopenSet.ball(tg, a))
-        return out
+        return ClopenSet(tg, _node_build(tg, ((a, True) for a in addresses)))
 
     def _check(self, other: "ClopenSet") -> None:
         if self.tg != other.tg:
@@ -560,16 +606,22 @@ class ClopenSet:
 
     def balls(self) -> tuple:
         """The canonical antichain of ball addresses, in depth-first order."""
+        # One path list, cut back to each popped node's depth: only the
+        # balls themselves are copied.
         out: list = []
-        stack = [((), self.node)] if self.node is not False else []
+        path: list = []
+        stack = [(0, 0, self.node)]
         while stack:
-            here, node = stack.pop()
+            depth, i, node = stack.pop()
+            if depth:
+                del path[depth - 1:]
+                path.append(i)
             if node is True:
-                out.append(here)
-                continue
-            for i in range(len(node) - 1, -1, -1):
-                if node[i] is not False:
-                    stack.append((here + (i,), node[i]))
+                out.append(tuple(path))
+            elif node is not False:
+                for j in range(len(node) - 1, -1, -1):
+                    if node[j] is not False:
+                        stack.append((depth + 1, j, node[j]))
         return tuple(out)
 
     def ball_strs(self) -> list:
@@ -591,12 +643,12 @@ def epsilon_neighborhood(tg: TypeGraph, points: Iterable[BoundaryPoint],
     set is nonempty).
     """
     m = eps_exponent(Fraction(eps))
-    out = ClopenSet.empty(tg)
+    balls = []
     for x in points:
         if x.tg != tg:
             raise ValueError("point over a different type graph")
-        out = out.union(ClopenSet.ball(tg, x.address_prefix(m)))
-    return out
+        balls.append(x.address_prefix(m))
+    return ClopenSet.from_balls(tg, balls)
 
 
 def is_isolated(tg: TypeGraph, v: Sequence[int]) -> bool:

@@ -1,0 +1,269 @@
+"""Clopen sets built in one sorted pass, and their ball listing.
+
+``ClopenSet.from_balls``, ``ClopenSet.ball``, ``epsilon_neighborhood`` and
+``Element.apply_clopen`` build their tries with ``treespace._node_build``.
+Each is compared with a reference kept here, which grafts one ball at a time
+and folds the grafts with ``union``, and membership is checked against the
+input balls, also through ``oracles.contains_point_bruteforce``.
+"""
+
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from vtrees import (
+    ClopenSet,
+    TypeGraph,
+    boundary_point,
+    epsilon_neighborhood,
+    eventually_periodic_witness,
+    random_element,
+)
+from vtrees.treespace import _node_build, address_str
+
+from oracles import contains_point_bruteforce
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+TREES = {
+    "binary": ({"b": ["b", "b"]}, "b"),
+    "wide": ({"r": ["b", "b", "b"], "b": ["b", "b"]}, "r"),
+    "ray": ({"a": ["a", "b"], "b": ["b"]}, "a"),
+    # a one-child root over a binary tree
+    "stem": ({"c": ["d"], "d": ["d", "d"]}, "c"),
+}
+GRAPHS = {name: TypeGraph(*spec) for name, spec in TREES.items()}
+EXAMPLES = settings(database=None, derandomize=True, max_examples=200,
+                    deadline=None)
+
+digit_lists = st.lists(st.integers(0, 2), max_size=6)
+
+
+def walk(tg, start, raw):
+    """``start`` extended by the indices ``raw``, each read modulo the arity
+    of the vertex it leaves."""
+    out = list(start)
+    t = tg.type_at(start)
+    for d in raw:
+        out.append(d % tg.arity(t))
+        t = tg.children[t][out[-1]]
+    return tuple(out)
+
+
+def point(tg, prefix_raw, cycle_raw):
+    """An eventually periodic end: the prefix walk, then the least-child
+    descent when the drawn cycle leaves the tree on a later pass."""
+    prefix = walk(tg, (), prefix_raw)
+    cycle = walk(tg, prefix, cycle_raw or [0])[len(prefix):]
+    try:
+        return boundary_point(tg, prefix, cycle)
+    except ValueError:
+        return eventually_periodic_witness(tg, prefix)
+
+
+# ---------------------------------------------------------------------------
+# The reference: one ball at a time
+
+
+def graft(tg, address, sub):
+    """The trie that is ``sub`` below ``address`` and empty elsewhere."""
+    arities = []
+    t = tg.root_type
+    for i in address:
+        arities.append(tg.arity(t))
+        t = tg.children[t][i]
+    node = sub
+    for i, a in zip(reversed(address), reversed(arities)):
+        if a == 1 and node is True:
+            continue  # a one-child vertex above a full ball is full itself
+        kids = [False] * a
+        kids[i] = node
+        node = tuple(kids)
+    return node
+
+
+def reference_union(tg, pieces):
+    return reduce(ClopenSet.union, (ClopenSet(tg, graft(tg, a, sub))
+                                    for a, sub in pieces if sub is not False),
+                  ClopenSet.empty(tg))
+
+
+def reference_balls(node):
+    """The listing that copies the address at every level."""
+    out = []
+    stack = [((), node)] if node is not False else []
+    while stack:
+        here, node = stack.pop()
+        if node is True:
+            out.append(here)
+            continue
+        for i in range(len(node) - 1, -1, -1):
+            if node[i] is not False:
+                stack.append((here + (i,), node[i]))
+    return tuple(out)
+
+
+def reference_str(node):
+    if node is False:
+        return "{}"
+    if node is True:
+        return "{<all>}"
+    return "{" + ", ".join(address_str(a) for a in reference_balls(node)) + "}"
+
+
+def trie_at(node, address):
+    for i in address:
+        if node is True or node is False:
+            return node
+        node = node[i]
+    return node
+
+
+def assert_same_set(built, reference, balls, points):
+    """``built`` equals ``reference``, lists the same balls, and contains
+    exactly the points below one of ``balls``."""
+    assert built == reference
+    assert built.balls() == reference_balls(reference.node)
+    assert str(built) == reference_str(reference.node)
+    depth = max((len(b) for b in balls), default=0)
+    for x in points:
+        inside = any(x.address_prefix(len(b)) == tuple(b) for b in balls)
+        assert built.contains_point(x) == inside
+        assert contains_point_bruteforce(built, x, depth) == inside
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+
+
+@EXAMPLES
+@given(data=st.data(), tree=st.sampled_from(sorted(TREES)),
+       raw=st.lists(digit_lists, max_size=8),
+       container=st.sampled_from(["list", "tuple", "generator"]),
+       address_type=st.sampled_from([tuple, list]))
+def test_from_balls_matches_one_ball_at_a_time(data, tree, raw, container,
+                                                address_type):
+    tg = GRAPHS[tree]
+    balls = [walk(tg, (), r) for r in raw]
+    if balls:
+        # duplicates of drawn balls, and balls nested below them
+        for k in data.draw(st.lists(st.integers(0, len(balls) - 1), max_size=3)):
+            balls.append(balls[k])
+        for k in data.draw(st.lists(st.integers(0, len(balls) - 1), max_size=3)):
+            balls.append(walk(tg, balls[k], data.draw(digit_lists)))
+    if data.draw(st.integers(0, 4)) == 0:
+        balls.insert(data.draw(st.integers(0, len(balls))), ())
+    given_balls = [address_type(b) for b in balls]
+    if container == "tuple":
+        given_balls = tuple(given_balls)
+    elif container == "generator":
+        given_balls = (b for b in given_balls)
+    points = [point(tg, p, c) for p, c in data.draw(
+        st.lists(st.tuples(digit_lists, digit_lists), max_size=6))]
+    points += [eventually_periodic_witness(tg, b) for b in balls]
+    built = ClopenSet.from_balls(tg, given_balls)
+    assert_same_set(built, reference_union(tg, [(b, True) for b in balls]),
+                    balls, points)
+    for b in balls:
+        assert ClopenSet.ball(tg, b).node == graft(tg, b, True)
+
+
+@EXAMPLES
+@given(tree=st.sampled_from(sorted(TREES)),
+       ends=st.lists(st.tuples(digit_lists, digit_lists), max_size=4),
+       m=st.integers(0, 8),
+       probes=st.lists(st.tuples(digit_lists, digit_lists), max_size=6))
+def test_epsilon_neighborhood_matches_one_ball_at_a_time(tree, ends, m, probes):
+    tg = GRAPHS[tree]
+    centres = [point(tg, p, c) for p, c in ends]
+    balls = [x.address_prefix(m) for x in centres]
+    points = centres + [point(tg, p, c) for p, c in probes]
+    built = epsilon_neighborhood(tg, centres, Fraction(1, 2 ** m))
+    assert_same_set(built, reference_union(tg, [(b, True) for b in balls]),
+                    balls, points)
+
+
+@EXAMPLES
+@given(tree=st.sampled_from(sorted(TREES)),
+       raw=st.lists(digit_lists, max_size=5),
+       carets=st.integers(0, 5), seed=st.integers(0, 2 ** 32),
+       probes=st.lists(st.tuples(digit_lists, digit_lists), max_size=6))
+def test_apply_clopen_matches_one_leaf_at_a_time(tree, raw, carets, seed, probes):
+    tg = GRAPHS[tree]
+    c = ClopenSet.from_balls(tg, [walk(tg, (), r) for r in raw])
+    g = random_element(tg, carets, seed)
+    image = g.apply_clopen(c)
+    reference = reference_union(tg, [(w, trie_at(c.node, u))
+                                     for u, w in g.leaf_map().items()])
+    assert image == reference
+    assert image.balls() == reference_balls(reference.node)
+    assert str(image) == reference_str(reference.node)
+    for p, cyc in probes:
+        x = point(tg, p, cyc)
+        assert image.contains_point(g.apply_point(x)) == c.contains_point(x)
+
+
+@EXAMPLES
+@given(tree=st.sampled_from(sorted(TREES)),
+       raw=st.lists(digit_lists, max_size=6),
+       sets=st.lists(st.lists(digit_lists, max_size=4), min_size=1, max_size=3))
+def test_build_merges_overlapping_pieces(tree, raw, sets):
+    # Every address twice, each time with the part of another set below it:
+    # equal, nested and full pieces, and proper tries at one address.
+    tg = GRAPHS[tree]
+    clopens = [ClopenSet.from_balls(tg, [walk(tg, (), r) for r in s]) for s in sets]
+    addresses = [walk(tg, (), r) for r in raw] * 2
+    pieces = [(a, trie_at(clopens[k % len(clopens)].node, a))
+              for k, a in enumerate(addresses)]
+    assert ClopenSet(tg, _node_build(tg, pieces)) == reference_union(tg, pieces)
+
+
+# ---------------------------------------------------------------------------
+# Errors and depth
+
+
+def test_from_balls_reports_the_first_invalid_address_in_input_order(binary, wide):
+    with pytest.raises(ValueError, match="^invalid address '3'$"):
+        ClopenSet.from_balls(binary, [(3,), (0, 2)])
+    with pytest.raises(ValueError, match="^invalid address '02'$"):
+        ClopenSet.from_balls(binary, [(0, 2), (3,)])
+    with pytest.raises(ValueError, match="^invalid address '12'$"):
+        ClopenSet.from_balls(wide, [(2, 1), (1, 2), (3,)])
+
+
+def test_invalid_address_under_a_full_ball_still_raises(binary):
+    with pytest.raises(ValueError, match="^invalid address '2'$"):
+        ClopenSet.from_balls(binary, [(), (2,)])
+    with pytest.raises(ValueError, match="^invalid address '012'$"):
+        ClopenSet.from_balls(binary, [(0,), (0, 1, 2)])
+    with pytest.raises(ValueError, match="^invalid address '5'$"):
+        ClopenSet.ball(binary, (5,))
+
+
+def test_epsilon_neighborhood_rejects_a_point_of_another_tree(binary, wide):
+    x = boundary_point(binary, (), (0,))
+    with pytest.raises(ValueError, match="different type graph"):
+        epsilon_neighborhood(wide, [x], Fraction(1, 2))
+
+
+DEEP_PAIR = """
+from vtrees import ClopenSet, TypeGraph
+d = 60_000
+tg = TypeGraph({"b": ["b", "b"]}, "b")
+c = ClopenSet.from_balls(tg, [(0,) * d, (0,) * (d - 1) + (1,)])
+assert c.ball_strs() == ["0" * (d - 1)]
+"""
+
+
+def test_deep_ball_pair_builds_and_lists_in_a_fresh_process():
+    # A crash of the interpreter (a recursion deeper than its C stack) has to
+    # fail this test, not the test run, so it runs in a child process.
+    proc = subprocess.run([sys.executable, "-c", DEEP_PAIR], capture_output=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]

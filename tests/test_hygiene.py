@@ -4,6 +4,8 @@
   imports are the public re-exports, and so are ``from __future__`` imports.
 - Only ``treespace.py`` constructs ``BoundaryPoint`` directly, so every point
   the library makes has been canonicalised there.
+- Only ``treespace.py`` reaches ``_node_merge``, so every clopen set made of
+  many pieces is built in one pass by ``_node_build``.
 """
 
 import ast
@@ -55,6 +57,29 @@ def test_point_constructions_are_detected():
 
 def test_points_are_built_only_by_treespace():
     found = {p.name: point_constructions(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.name != "treespace.py"}
+    assert found
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def merge_uses(source: str) -> int:
+    """The number of ``_node_merge`` names a module imports or reads as an
+    attribute."""
+    return sum((isinstance(n, ast.ImportFrom)
+                and any(a.name == "_node_merge" for a in n.names))
+               or (isinstance(n, ast.Attribute) and n.attr == "_node_merge")
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_merge_uses_are_detected():
+    assert merge_uses("from .treespace import ClopenSet, _node_merge as m\n"
+                      "from . import treespace\n"
+                      "treespace._node_merge(a, b, True)\n"
+                      "_node_build(tg, pieces)\n") == 2
+
+
+def test_only_treespace_merges_tries():
+    found = {p.name: merge_uses(p.read_text(encoding="utf-8"))
              for p in sorted(SRC.glob("*.py")) if p.name != "treespace.py"}
     assert found
     assert {k: v for k, v in found.items() if v} == {}
