@@ -45,6 +45,7 @@ from .treespace import (
     epsilon_neighborhood,
     eps_exponent,
     eventually_periodic_witness,
+    visual_distance,
 )
 from .element import Element, compose, identity
 from .revealing import BudgetExceeded, DynamicsReport, dynamics
@@ -187,7 +188,7 @@ def proximal_contraction(hs: Sequence[Element], eps: Fraction,
             hm = h.power(m)
             pts = rep.attracting_periodic + rep.repelling_periodic
             allowed = cur.intersect(rep.stable).union(
-                epsilon_neighborhood(tg, pts, eps) if pts else ClopenSet.empty(tg))
+                epsilon_neighborhood(tg, pts, eps))
             t = minimums[i]
             image = cur
             for _ in range(t):
@@ -335,15 +336,24 @@ def free_group_smoke(g: Element, h: Element, length: int) -> bool:
     return True
 
 
-def _shrink_radius(tg: TypeGraph, points, predicate, depth_budget: int):
-    """Largest radius 2^-m (0 <= m <= depth_budget) whose neighborhood of
-    the points satisfies the predicate; None if none does."""
-    for m in range(depth_budget + 1):
-        eps = Fraction(1, 2 ** m)
-        nbhd = epsilon_neighborhood(tg, points, eps)
-        if predicate(nbhd, eps):
-            return eps
-    return None
+def _separation_exponent(sets, cap: int):
+    """Least m <= cap at which the 2^-m-neighborhoods of pairwise disjoint
+    point sets are disjoint, or None: balls at one depth meet only if equal,
+    so m is 1 + the longest common prefix of points from different sets."""
+    m = 1 + max(eps_exponent(visual_distance(x, y))
+                for i, xs in enumerate(sets) for ys in sets[i + 1:]
+                for x in xs for y in ys)
+    return m if m <= cap else None
+
+
+def _radius_exponent(points, target: ClopenSet, floor: int, cap: int):
+    """Least m in [floor, cap] at which the 2^-m-neighborhood of the points
+    lies in target, or None."""
+    depths = [target.full_depth(x) for x in points]
+    if None in depths:
+        return None
+    m = max([floor, *depths])
+    return m if m <= cap else None
 
 
 def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
@@ -397,44 +407,33 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
     a2 = [w.apply_point(p) for p in a1]
     b2 = [w.apply_point(p) for p in b1]
 
+    # a1, b1, a2, b2 are pairwise disjoint: u moves b1 off itself, w moves
+    # a1 | b1 off itself, and w is a bijection
     depth = max(budgets.expansion_depth, 2)
-    star = None
-    for m in range(depth + 1):
-        eps = Fraction(1, 2 ** m)
-        nb = [epsilon_neighborhood(tg, pts, eps) for pts in (a1, b1, a2, b2)]
-        if all(nb[i].intersect(nb[j]).is_empty()
-               for i in range(4) for j in range(i + 1, 4)):
-            star = eps
-            break
-    if star is None:
+    m = _separation_exponent((a1, b1, a2, b2), depth)
+    if m is None:
         return None
-    u1, v1, u2, v2 = nb
+    star = Fraction(1, 2 ** m)
+    u1, v1, u2, v2 = (epsilon_neighborhood(tg, p, star) for p in (a1, b1, a2, b2))
 
     # g1 = contraction o u^-1 maps X - U1 into V1 once B^delta sits inside
     # u^-1(U1); the contraction then keeps it inside B^delta <= V1.
     uinv = u.inverse()
-    pull1 = uinv.apply_clopen(u1)
-    delta1 = _shrink_radius(
-        tg, b_points,
-        lambda nbhd, eps: eps <= star and nbhd.subset_of(pull1),
-        depth)
-    if delta1 is None:
+    m1 = _radius_exponent(b_points, uinv.apply_clopen(u1), m, depth)
+    if m1 is None:
         return None
-    c1 = proximal_contraction(hs, delta1, words=hw, reports=hr)
+    c1 = proximal_contraction(hs, Fraction(1, 2 ** m1), words=hw, reports=hr)
     g1 = compose(c1.element, uinv)
     g1_word = (c1.word + word_inverse(u_word)) if c1.word is not None else None
 
-    wu = compose(w, u)
-    wuinv = wu.inverse()
-    pull2 = wuinv.apply_clopen(u2)
-    delta2 = _shrink_radius(
-        tg, b_points,
-        lambda nbhd, eps: (eps <= star and nbhd.subset_of(pull2)
-                           and w.apply_clopen(nbhd).subset_of(v2)),
-        depth)
-    if delta2 is None:
+    # g2 needs B^delta inside (wu)^-1(U2), and w(B^delta) inside V2, that
+    # is B^delta inside w^-1(V2) as w is a bijection
+    wuinv = compose(w, u).inverse()
+    pull2 = wuinv.apply_clopen(u2).intersect(w.inverse().apply_clopen(v2))
+    m2 = _radius_exponent(b_points, pull2, m, depth)
+    if m2 is None:
         return None
-    c2 = proximal_contraction(hs, delta2, words=hw, reports=hr)
+    c2 = proximal_contraction(hs, Fraction(1, 2 ** m2), words=hw, reports=hr)
     g2 = compose(w, compose(c2.element, wuinv))
     g2_word = (tuple(w_word) + c2.word + word_inverse(tuple(w_word) + tuple(u_word))
                if c2.word is not None else None)

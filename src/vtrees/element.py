@@ -120,19 +120,13 @@ def shape_from_leaves(tg: TypeGraph, leaves: Iterable[Address], root_type: str):
     return shapes[()]
 
 
-def shape_union(tg: TypeGraph, t: str, a, b):
-    """Common refinement (caret union) of two complete-subtree shapes."""
+def shape_union(a, b):
+    """Common refinement (caret union) of two shapes at one vertex."""
     if a is None:
         return b
     if b is None:
         return a
-    la, lb = shape_leaves(a), shape_leaves(b)
-    ia = interior_vertices(la)
-    ib = interior_vertices(lb)
-    sa = set(la)
-    leaves = [u for u in la if u not in ib]
-    leaves.extend(u for u in lb if u not in ia and u not in sa)
-    return shape_from_leaves(tg, leaves, t)
+    return tuple(shape_union(x, y) for x, y in zip(a, b))
 
 
 def shape_caret_count(shape) -> int:

@@ -325,11 +325,11 @@ def common_admissible_partition(closure: GroupClosure) -> AdmissiblePartition:
     tg = closure.generating_set.tg
     shape = None
     for e in closure.elements:
-        shape = shape_union(tg, tg.root_type, shape, e.pair.domain)
+        shape = shape_union(shape, e.pair.domain)
     for _round in range(1000):
         new = shape
         for e in closure.elements:
-            new = shape_union(tg, tg.root_type, new, _image_partition(e, new))
+            new = shape_union(new, _image_partition(e, new))
         if new == shape:
             return AdmissiblePartition(tg, tuple(shape_leaves(shape)))
         shape = new
@@ -478,7 +478,7 @@ def restrict(g: Element, w: ClopenSet) -> RestrictedElement:
     if g.apply_clopen(w) != w:
         raise ValueError("the clopen set is not invariant under the element")
     tg = g.tg
-    refined = shape_union(tg, tg.root_type, g.pair.domain, _clopen_shape(w))
+    refined = shape_union(g.pair.domain, _clopen_shape(w))
     kappa = graft_map(g.pair, lambda u, _: shape_at(refined, u))
     mapping = {u: v if ClopenSet.ball(tg, u).subset_of(w) else u
                for u, v in kappa.items()}

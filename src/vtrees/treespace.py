@@ -593,14 +593,20 @@ class ClopenSet:
     __le__ = subset_of
 
     def contains_point(self, x: BoundaryPoint) -> bool:
+        return self.full_depth(x) is not None
+
+    def full_depth(self, x: BoundaryPoint) -> int | None:
+        """The least n such that the ball at ``x.address_prefix(n)`` lies in
+        the set, or None when x is outside it.  Tries are canonical, so a
+        ball lies in the set exactly when a node on its path is full."""
         if x.tg != self.tg:
             raise ValueError("point over a different type graph")
         node = self.node
-        for i in x.indices():
+        for n, i in enumerate(x.indices()):
             if node is True:
-                return True
+                return n
             if node is False:
-                return False
+                return None
             node = node[i]
         raise AssertionError("unreachable")
 

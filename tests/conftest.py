@@ -1,3 +1,4 @@
+import os
 import random
 import sys
 import tempfile
@@ -18,6 +19,16 @@ from vtrees import (
 BINARY_SPEC = '{"types": {"b": ["b", "b"]}, "root": "b"}'
 WIDE_SPEC = '{"types": {"r": ["b", "b", "b"], "b": ["b", "b"]}, "root": "r"}'
 RAY_SPEC = '{"types": {"a": ["a", "b"], "b": ["b"]}, "root": "a"}'
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """The environment for a child Python process, with this checkout's
+    ``src`` first on its ``PYTHONPATH``, so the child imports the package
+    under test whether or not it is installed."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
 
 
 def pytest_configure(config):

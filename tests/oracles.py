@@ -14,7 +14,9 @@ different routes to the same value:
   sequences;
 - finite orbits, closed under string maps on point strings;
 - ping-pong witnesses, from their pair strings and ball lists;
-- the translation search that composes every enumerated element.
+- the translation search that composes every enumerated element;
+- the ping-pong radius searches that build neighborhoods one radius at a
+  time, and the caret union of two trees from their leaf sets.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import itertools
 import math
 import re
 import string
+from fractions import Fraction
 
 DIGITS = string.digits + string.ascii_lowercase  # child index -> address digit
 
@@ -374,3 +377,41 @@ def first_moving_off_by_elements(elements, a_points, b_points):
         if all(e.apply_point(p) not in b_set for p in a_points):
             return word, e
     return None
+
+
+# ---------------------------------------------------------------------------
+# Ping-pong radii by search, one radius at a time
+
+
+def separation_by_search(tg, sets, cap: int):
+    """Least m <= cap at which the 2^-m-neighborhoods of the point sets are
+    pairwise disjoint, or None: the loop that built all of them at each
+    radius in turn."""
+    from vtrees import epsilon_neighborhood
+    for m in range(cap + 1):
+        nb = [epsilon_neighborhood(tg, pts, Fraction(1, 2 ** m)) for pts in sets]
+        if all(nb[i].intersect(nb[j]).is_empty()
+               for i in range(len(nb)) for j in range(i + 1, len(nb))):
+            return m
+    return None
+
+
+def shrink_radius(tg, points, predicate, depth_budget: int):
+    """Largest radius 2^-m (0 <= m <= depth_budget) whose neighborhood of
+    the points satisfies the predicate; None if none does."""
+    from vtrees import epsilon_neighborhood
+    for m in range(depth_budget + 1):
+        eps = Fraction(1, 2 ** m)
+        nbhd = epsilon_neighborhood(tg, points, eps)
+        if predicate(nbhd, eps):
+            return eps
+    return None
+
+
+def leaf_union(xs, ys) -> list:
+    """Leaves of the common refinement of two complete trees, from their
+    leaf addresses: the leaves of either tree with no proper descendant
+    among the leaves of both, in depth-first order."""
+    both = set(xs) | set(ys)
+    return sorted(u for u in both
+                  if not any(len(v) > len(u) and v[:len(u)] == u for v in both))

@@ -46,7 +46,7 @@ from vtrees import (
 from vtrees.element import expand_pair, reduce as reduce_pair
 from vtrees.cli import witness_json, orbit_json
 
-from conftest import BINARY_SPEC, WIDE_SPEC, random_point
+from conftest import BINARY_SPEC, WIDE_SPEC, child_env, random_point
 from oracles import (
     binary_helpers,
     brute_force_order_search,
@@ -281,7 +281,7 @@ def test_criterion_09_witness_portability(work_dir, suite_results):
             [sys.executable, "-m", "vtrees", "pingpong-verify",
              "--tree", str(work_dir / "binary.json"),
              "--witness", str(work_dir / "witness.json")],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
 
@@ -290,7 +290,7 @@ def test_criterion_09_witness_portability(work_dir, suite_results):
             [sys.executable, "-m", "vtrees", "orbit",
              "--tree", str(work_dir / "binary.json"),
              "--gens", str(work_dir / "sgens.txt"), str(orb.seed)],
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["points"] == [str(p) for p in orb.points]
 
@@ -318,6 +318,7 @@ def test_criterion_10_determinism(work_dir):
                 proc = subprocess.run(
                     [sys.executable, "-m", "vtrees", *args,
                      "--threads", threads],
-                    capture_output=True, timeout=300)
+                    capture_output=True, timeout=300, env=child_env())
+                assert proc.returncode == 0, proc.stderr.decode()[-2000:]
                 outs.append(proc.stdout)
             assert outs[0] == outs[1] == outs[2], f"nondeterministic: {args[0]}"

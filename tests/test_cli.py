@@ -24,7 +24,7 @@ from vtrees import (
     verify_pingpong,
 )
 
-from conftest import BINARY_SPEC, WIDE_SPEC
+from conftest import BINARY_SPEC, WIDE_SPEC, child_env
 
 X0 = "pair{domain=[00,01,1], range=[0,10,11], perm=[0,1,2]}"
 X1 = "pair{domain=[0,100,101,11], range=[0,10,110,111], perm=[0,1,2,3]}"
@@ -307,6 +307,6 @@ def test_fresh_process_invocation(files):
         [sys.executable, "-m", "vtrees", "order",
          "--tree", str(files / "binary.json"),
          "--element", str(files / "sigma.txt")],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["order"] == 2

@@ -7,8 +7,6 @@ and folds the grafts with ``union``, and membership is checked against the
 input balls, also through ``oracles.contains_point_bruteforce``.
 """
 
-import os
-import pathlib
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,9 +25,8 @@ from vtrees import (
 )
 from vtrees.treespace import _node_build, address_str
 
+from conftest import child_env
 from oracles import contains_point_bruteforce
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 TREES = {
     "binary": ({"b": ["b", "b"]}, "b"),
@@ -265,5 +262,5 @@ def test_deep_ball_pair_builds_and_lists_in_a_fresh_process():
     # A crash of the interpreter (a recursion deeper than its C stack) has to
     # fail this test, not the test run, so it runs in a child process.
     proc = subprocess.run([sys.executable, "-c", DEEP_PAIR], capture_output=True,
-                          timeout=120, env=dict(os.environ, PYTHONPATH=str(SRC)))
+                          timeout=120, env=child_env())
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]

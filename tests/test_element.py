@@ -82,9 +82,9 @@ def test_shape_from_leaves_rejects_bad_sets(binary):
 def test_shape_union(binary):
     a = shape_from_leaves(binary, [(0,), (1,)], "b")
     b = shape_from_leaves(binary, [(0, 0), (0, 1), (1,)], "b")
-    u = shape_union(binary, "b", a, b)
+    u = shape_union(a, b)
     assert shape_leaves(u) == [(0, 0), (0, 1), (1,)]
-    assert shape_union(binary, "b", None, a) == a
+    assert shape_union(None, a) == a
 
 
 def test_pair_requires_order_isomorphic_types(ray):
@@ -198,7 +198,7 @@ def test_graft_refines_to_the_requested_tree(tree, seed, carets):
     rng = random.Random(seed)
     e = random_element(tg, rng.randint(1, 4), rng)
     extra = random_complete_shape(tg, carets, rng)
-    dom = shape_union(tg, tg.root_type, e.pair.domain, extra)
+    dom = shape_union(e.pair.domain, extra)
     p = graft(e.pair, lambda u, w: shape_at(dom, u))
     assert p.domain == dom
     assert make_element(p) == e
@@ -206,7 +206,7 @@ def test_graft_refines_to_the_requested_tree(tree, seed, carets):
     q = graft(e.pair, lambda u, w: shape_at(p.range, w))
     assert q.range == p.range
     assert q == p
-    ran = shape_union(tg, tg.root_type, e.pair.range, extra)
+    ran = shape_union(e.pair.range, extra)
     q = graft(e.pair, lambda u, w: shape_at(ran, w))
     assert q.range == ran
     assert make_element(q) == e
