@@ -336,24 +336,22 @@ def free_group_smoke(g: Element, h: Element, length: int) -> bool:
     return True
 
 
-def _separation_exponent(sets, cap: int):
-    """Least m <= cap at which the 2^-m-neighborhoods of pairwise disjoint
-    point sets are disjoint, or None: balls at one depth meet only if equal,
-    so m is 1 + the longest common prefix of points from different sets."""
-    m = 1 + max(eps_exponent(visual_distance(x, y))
-                for i, xs in enumerate(sets) for ys in sets[i + 1:]
-                for x in xs for y in ys)
-    return m if m <= cap else None
+def _separation_exponent(sets) -> int:
+    """Least m at which the 2^-m-neighborhoods of pairwise disjoint point
+    sets are disjoint: balls at one depth meet only if equal, so m is 1 +
+    the longest common prefix of points from different sets."""
+    return 1 + max(eps_exponent(visual_distance(x, y))
+                   for i, xs in enumerate(sets) for ys in sets[i + 1:]
+                   for x in xs for y in ys)
 
 
-def _radius_exponent(points, target: ClopenSet, floor: int, cap: int):
-    """Least m in [floor, cap] at which the 2^-m-neighborhood of the points
-    lies in target, or None."""
+def _radius_exponent(points, target: ClopenSet, floor: int):
+    """Least m >= floor at which the 2^-m-neighborhood of the points lies in
+    target, or None when some point is outside target."""
     depths = [target.full_depth(x) for x in points]
     if None in depths:
         return None
-    m = max([floor, *depths])
-    return m if m <= cap else None
+    return max([floor, *depths])
 
 
 def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
@@ -361,11 +359,23 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
     """A verified ping-pong witness for the subgroup, or None over budget.
 
     ``context`` may carry (elements, words, reports) whose stable parts are
-    already known to intersect emptily, and as a fourth item a letter-image
-    table to share with the caller; otherwise the enumeration is run until
-    that happens (or the word budget runs out).  Both translation searches
-    run over point tuples and share one letter-image table.
+    already known to intersect emptily, as a fourth item a letter-image
+    table to share with the caller, and as a fifth a dict into which the
+    step where the construction stopped is written, under
+    ``"pingpong_stop"``; otherwise the enumeration is run until that
+    happens (or the word budget runs out).  Both translation searches run
+    over point tuples and share one letter-image table.
     """
+    witness, stop = _pingpong(s, budgets, context)
+    if stop and context is not None and len(context) > 4:
+        context[4]["pingpong_stop"] = stop
+    return witness
+
+
+def _pingpong(s: GeneratingSet, budgets: Budgets, context):
+    """``build_pingpong``'s witness, or None and the step where it stopped:
+    ``{"step": name}``, and for a radius over the ``expansion_depth`` cap
+    also the ``exponent`` it needed and the ``cap``."""
     tg = s.tg
     images = _LetterImages(s)
     if context is None:
@@ -382,7 +392,7 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
             if inter.is_empty():
                 break
         if not inter.is_empty():
-            return None
+            return None, {"step": "stable parts"}
     else:
         hs, hw, hr = context[:3]
         if len(context) > 3:
@@ -390,19 +400,19 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
 
     b_points = _hyperbolic_points(hr)
     if not b_points:
-        return None
+        return None, {"step": "hyperbolic points"}
 
     found = _first_moving_off(s, budgets.word_length, b_points, b_points,
                               images)
     if found is None:
-        return None
+        return None, {"step": "first translation"}
     u_word, u = found
     a1 = [u.apply_point(p) for p in b_points]
     b1 = list(b_points)
     spread = sorted(set(a1) | set(b1), key=lambda p: p.sort_key())
     found = _first_moving_off(s, budgets.word_length, spread, spread, images)
     if found is None:
-        return None
+        return None, {"step": "second translation"}
     w_word, w = found
     a2 = [w.apply_point(p) for p in a1]
     b2 = [w.apply_point(p) for p in b1]
@@ -410,18 +420,18 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
     # a1, b1, a2, b2 are pairwise disjoint: u moves b1 off itself, w moves
     # a1 | b1 off itself, and w is a bijection
     depth = max(budgets.expansion_depth, 2)
-    m = _separation_exponent((a1, b1, a2, b2), depth)
-    if m is None:
-        return None
+    m = _separation_exponent((a1, b1, a2, b2))
+    if m > depth:
+        return None, {"step": "separation", "exponent": m, "cap": depth}
     star = Fraction(1, 2 ** m)
     u1, v1, u2, v2 = (epsilon_neighborhood(tg, p, star) for p in (a1, b1, a2, b2))
 
     # g1 = contraction o u^-1 maps X - U1 into V1 once B^delta sits inside
     # u^-1(U1); the contraction then keeps it inside B^delta <= V1.
     uinv = u.inverse()
-    m1 = _radius_exponent(b_points, uinv.apply_clopen(u1), m, depth)
-    if m1 is None:
-        return None
+    m1 = _radius_exponent(b_points, uinv.apply_clopen(u1), m)
+    if m1 is None or m1 > depth:
+        return None, {"step": "delta1", "exponent": m1, "cap": depth}
     c1 = proximal_contraction(hs, Fraction(1, 2 ** m1), words=hw, reports=hr)
     g1 = compose(c1.element, uinv)
     g1_word = (c1.word + word_inverse(u_word)) if c1.word is not None else None
@@ -430,9 +440,9 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
     # is B^delta inside w^-1(V2) as w is a bijection
     wuinv = compose(w, u).inverse()
     pull2 = wuinv.apply_clopen(u2).intersect(w.inverse().apply_clopen(v2))
-    m2 = _radius_exponent(b_points, pull2, m, depth)
-    if m2 is None:
-        return None
+    m2 = _radius_exponent(b_points, pull2, m)
+    if m2 is None or m2 > depth:
+        return None, {"step": "delta2", "exponent": m2, "cap": depth}
     c2 = proximal_contraction(hs, Fraction(1, 2 ** m2), words=hw, reports=hr)
     g2 = compose(w, compose(c2.element, wuinv))
     g2_word = (tuple(w_word) + c2.word + word_inverse(tuple(w_word) + tuple(u_word))
@@ -446,7 +456,7 @@ def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
     ok, reason = verify_pingpong(witness)
     if not ok:
         raise AssertionError(f"constructed witness failed verification: {reason}")
-    return witness
+    return witness, None
 
 
 # ---------------------------------------------------------------------------
@@ -561,14 +571,18 @@ class _Run:
             res = self.probe(xi, self.budgets.orbit_size)
             if res is not None:
                 return DichotomyResult("finite-orbit", orbit=res)
+        stopped: dict = {}
         witness = build_pingpong(self.s, self.budgets,
-                                 context=(hs, hw, hr, self.images))
+                                 context=(hs, hw, hr, self.images, stopped))
         if witness is not None:
             return DichotomyResult("ping-pong", witness=witness)
         return self.undecided(
-            "stable parts empty but neither branch verified in budget")
+            "stable parts empty but neither branch verified in budget",
+            **stopped)
 
-    def undecided(self, reason: str) -> DichotomyResult:
+    def undecided(self, reason: str, **more) -> DichotomyResult:
+        """The frontier, and ``more`` (the ``pingpong_stop`` of a ping-pong
+        construction that stopped)."""
         return DichotomyResult("undecided", diagnostics={
             "reason": reason,
             "elements_scanned": self.scanned,
@@ -576,4 +590,5 @@ class _Run:
             "contributor_words": [word_str(w) for w, _, _ in self.contributors],
             "candidate_points": [str(p) for p in self.candidates],
             "budgets": asdict(self.budgets),
+            **more,
         })

@@ -25,6 +25,8 @@ import random
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress, count
+from operator import ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .treespace import (
@@ -61,6 +63,28 @@ def shape_leaves(shape) -> list:
     return out
 
 
+def typed_leaves(tg: TypeGraph, shape) -> tuple:
+    """The leaves of a shape at the root, in depth-first order, and their
+    types, carried down one walk from the root type."""
+    leaves: list = []
+    types: list = []
+    children = tg.children
+    stack = [((), shape, tg.root_type)]
+    while stack:
+        here, node, t = stack.pop()
+        if node is None:
+            leaves.append(here)
+            types.append(t)
+            continue
+        cs = children[t]
+        if len(node) != len(cs):
+            raise ValueError(f"vertex {address_str(here)!r} has {len(node)} "
+                             f"children but type {t!r} has arity {len(cs)}")
+        for i in range(len(node) - 1, -1, -1):
+            stack.append((here + (i,), node[i], cs[i]))
+    return tuple(leaves), tuple(types)
+
+
 def shape_at(shape, address: Address):
     """Subshape at a relative address; None once a leaf is reached."""
     node = shape
@@ -81,43 +105,71 @@ def shape_from_leaves(tg: TypeGraph, leaves: Iterable[Address], root_type: str):
     """Build and validate the complete-subtree shape with the given leaf set.
 
     Raises ValueError when the addresses are not the exact leaf set of a
-    complete subtree (missing siblings, prefix clashes, bad indices).
+    complete subtree.  An ancestor clash is reported first, then an index
+    out of range, then a missing branch.
+
+    One pass over the sorted leaves keeps a stack of open vertices: the
+    vertices strictly above the last leaf, each with its type, carried down
+    from its parent, and the shapes of its children closed so far.  A leaf
+    closes the open vertices that are not its ancestors and opens the rest
+    of its path, so every vertex is opened and closed once.
     """
     leaves = sorted(set(tuple(a) for a in leaves))
     if not leaves:
         raise ValueError("a complete tree has at least one leaf")
     if leaves == [()]:
         return None
-    leaf_set = set(leaves)
-    internal = interior_vertices(leaves)
-    clash = leaf_set & internal
-    if clash:
-        a = min(clash)
-        raise ValueError(f"leaf {address_str(a)!r} is an ancestor of another leaf")
-    # types of all vertices, built shallow-to-deep
-    types = {(): root_type}
-    for v in sorted(internal | leaf_set, key=len):
-        if v == ():
-            continue
-        parent_type = types[v[:-1]]
-        cs = tg.children[parent_type]
-        if v[-1] >= len(cs):
-            raise ValueError(f"index {v[-1]} out of range at "
-                             f"{address_str(v[:-1])!r} (arity {len(cs)})")
-        types[v] = cs[v[-1]]
-    # assemble shapes deep-to-shallow
-    shapes: dict = {u: None for u in leaves}
-    for v in sorted(internal, key=len, reverse=True):
-        a = tg.arity(types[v])
-        kids = []
-        for i in range(a):
-            c = v + (i,)
-            if c not in shapes:
-                raise ValueError(f"missing branch {address_str(c)!r}: "
-                                 "leaves do not cover the boundary")
-            kids.append(shapes[c])
-        shapes[v] = tuple(kids)
-    return shapes[()]
+    # in sorted order a leaf's descendants follow it directly
+    for u, v in zip(leaves, leaves[1:]):
+        if v[:len(u)] == u:
+            raise ValueError(f"leaf {address_str(u)!r} is an ancestor of another leaf")
+    children = tg.children
+    missing = []  # the first missing branch, reported once no index is bad
+
+    def place(i: int) -> str:
+        # child i comes next below the deepest open vertex; its type
+        t, kids = stack[-1]
+        if not 0 <= i < len(children[t]):
+            raise ValueError(f"index {i} out of range at "
+                             f"{address_str(here)!r} (arity {len(children[t])})")
+        if i > len(kids) and not missing:
+            missing.append(tuple(here) + (len(kids),))
+        kids.extend([None] * (i - len(kids)))
+        return children[t][i]
+
+    def close(t: str, kids: list) -> tuple:
+        # the shape of the vertex at ``here``, once no more children come
+        if len(kids) < len(children[t]) and not missing:
+            missing.append(tuple(here) + (len(kids),))
+        kids.extend([None] * (len(children[t]) - len(kids)))
+        return tuple(kids)
+
+    def close_to(n: int) -> None:
+        # close the open vertices deeper than n into their parents
+        while len(here) > n:
+            node = close(*stack.pop())
+            here.pop()
+            stack[-1][1].append(node)
+
+    here: list = []  # the address of the deepest open vertex
+    stack = [(root_type, [])]  # stack[k] is (type, kids) of the vertex here[:k]
+    prev = ()  # the first leaf closes nothing
+    for a in leaves:
+        # the first index where a leaves the last leaf's path
+        n = next(compress(count(), map(ne, prev, a)), 0)
+        close_to(n)
+        for i in a[n:-1]:
+            stack.append((place(i), []))
+            here.append(i)
+        place(a[-1])
+        stack[-1][1].append(None)
+        prev = a
+    close_to(0)
+    shape = close(*stack.pop())
+    if missing:
+        raise ValueError(f"missing branch {address_str(missing[0])!r}: "
+                         "leaves do not cover the boundary")
+    return shape
 
 
 def shape_union(a, b):
@@ -154,14 +206,12 @@ class TreePair:
         self.domain = domain
         self.range = range_
         self.perm = tuple(perm)
-        self.domain_leaves = tuple(shape_leaves(domain))
-        self.range_leaves = tuple(shape_leaves(range_))
+        self.domain_leaves, self.domain_types = typed_leaves(tg, domain)
+        self.range_leaves, self.range_types = typed_leaves(tg, range_)
         if len(self.domain_leaves) != len(self.range_leaves):
             raise ValueError("domain and range trees have different leaf counts")
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("perm is not a bijection of leaf indices")
-        self.domain_types = tuple(tg.type_at(u) for u in self.domain_leaves)
-        self.range_types = tuple(tg.type_at(w) for w in self.range_leaves)
         for u, t, pi in zip(self.domain_leaves, self.domain_types, self.perm):
             if not tg.subtree_order_isomorphic(t, self.range_types[pi]):
                 raise ValueError(
@@ -261,11 +311,32 @@ def reduce(pair: TreePair) -> TreePair:
 
 
 def reduce_map(tg: TypeGraph, kappa: dict) -> TreePair:
-    """The reduced pair of a valid leaf map; ``kappa`` is contracted in place."""
+    """The reduced pair of a valid leaf map; ``kappa`` is contracted in place.
+
+    Vertex types come from a table filled in as the moves reach vertices,
+    each from its parent's type.
+    """
+    children = tg.children
+    types = {(): tg.root_type}
+
+    def type_of(v: Address) -> str:
+        t = types.get(v)
+        if t is not None:
+            return t
+        k = len(v) - 1  # the depth of the deepest typed ancestor
+        while v[:k] not in types:
+            k -= 1
+        t = types[v[:k]]
+        for j in range(k, len(v)):
+            t = children[t][v[j]]
+            types[v[:j + 1]] = t
+        return t
+
+    def arity_of(v: Address) -> int:
+        return len(children[type_of(v)])
 
     def try_contract(p: Address):
-        t = tg.type_at(p)
-        a = tg.arity(t)
+        a = arity_of(p)
         kids = [p + (i,) for i in range(a)]
         if any(c not in kappa for c in kids):
             return None
@@ -273,7 +344,7 @@ def reduce_map(tg: TypeGraph, kappa: dict) -> TreePair:
         if not w0 or w0[-1] != 0:
             return None
         w = w0[:-1]
-        if tg.arity(tg.type_at(w)) != a:
+        if arity_of(w) != a:
             return None
         for i in range(1, a):
             if kappa[kids[i]] != w + (i,):
@@ -290,7 +361,7 @@ def reduce_map(tg: TypeGraph, kappa: dict) -> TreePair:
             w = try_contract(p)
             if w is None:
                 continue
-            for i in range(tg.arity(tg.type_at(p))):
+            for i in range(arity_of(p)):
                 del kappa[p + (i,)]
             kappa[p] = w
             changed = True
@@ -298,15 +369,15 @@ def reduce_map(tg: TypeGraph, kappa: dict) -> TreePair:
                 stack.append(p[:-1])
         # singleton ray lifts
         for u in sorted(kappa):
-            if not tg.is_singleton_type(tg.type_at(u)):
+            if not tg.is_singleton_type(type_of(u)):
                 continue
             w = kappa[u]
             lifted = False
-            while w and tg.arity(tg.type_at(w[:-1])) == 1:
+            while w and arity_of(w[:-1]) == 1:
                 w = w[:-1]
                 lifted = True
             u2 = u
-            while u2 and tg.arity(tg.type_at(u2[:-1])) == 1:
+            while u2 and arity_of(u2[:-1]) == 1:
                 u2 = u2[:-1]
                 lifted = True
             if lifted:
@@ -368,8 +439,13 @@ class Element:
         return compose(self, other)
 
     def inverse(self) -> "Element":
-        inv = {w: u for u, w in self.pair.leaf_map().items()}
-        return Element(reduce(TreePair.from_map(self.tg, inv)))
+        # both normal-form moves are symmetric in domain and range, so the
+        # swapped pair is reduced (docs/dynamics_notes.md, section 6)
+        p = self.pair
+        perm = [0] * len(p.perm)
+        for i, j in enumerate(p.perm):
+            perm[j] = i
+        return Element(TreePair(p.tg, p.range, p.domain, perm))
 
     __invert__ = inverse
 
@@ -645,13 +721,12 @@ def builtin_generators(tg: TypeGraph) -> GeneratorFamily:
 
 def random_complete_shape(tg: TypeGraph, carets: int, rng: random.Random):
     """A random complete subtree grown by ``carets`` uniform leaf expansions."""
-    cur = [()]
+    cur = [((), tg.root_type)]  # (leaf, type), sorted by leaf when drawn
     for _ in range(carets):
         cur.sort()
-        u = cur.pop(rng.randrange(len(cur)))
-        for i in range(tg.arity(tg.type_at(u))):
-            cur.append(u + (i,))
-    return shape_from_leaves(tg, cur, tg.root_type)
+        u, t = cur.pop(rng.randrange(len(cur)))
+        cur += ((u + (i,), c) for i, c in enumerate(tg.children[t]))
+    return shape_from_leaves(tg, [u for u, _ in cur], tg.root_type)
 
 
 def random_element(tg: TypeGraph, size: int, rng_or_seed) -> Element:
@@ -668,14 +743,12 @@ def random_element(tg: TypeGraph, size: int, rng_or_seed) -> Element:
         c = rng.randint(0, size)
         dom_shape = random_complete_shape(tg, c, rng)
         ran_shape = random_complete_shape(tg, c, rng)
-        dom = shape_leaves(dom_shape)
-        ran = shape_leaves(ran_shape)
         by_color_d: dict = {}
         by_color_r: dict = {}
-        for u in dom:
-            by_color_d.setdefault(tg._ordered_color[tg.type_at(u)], []).append(u)
-        for w in ran:
-            by_color_r.setdefault(tg._ordered_color[tg.type_at(w)], []).append(w)
+        for u, t in zip(*typed_leaves(tg, dom_shape)):
+            by_color_d.setdefault(tg._ordered_color[t], []).append(u)
+        for w, t in zip(*typed_leaves(tg, ran_shape)):
+            by_color_r.setdefault(tg._ordered_color[t], []).append(w)
         if {c_: len(v) for c_, v in by_color_d.items()} != \
            {c_: len(v) for c_, v in by_color_r.items()}:
             continue

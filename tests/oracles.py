@@ -16,7 +16,9 @@ different routes to the same value:
 - ping-pong witnesses, from their pair strings and ball lists;
 - the translation search that composes every enumerated element;
 - the ping-pong radius searches that build neighborhoods one radius at a
-  time, and the caret union of two trees from their leaf sets.
+  time, and the caret union of two trees from their leaf sets;
+- the nested shape of a complete tree from its leaf set, level by level
+  through prefix sets.
 """
 
 from __future__ import annotations
@@ -415,3 +417,36 @@ def leaf_union(xs, ys) -> list:
     both = set(xs) | set(ys)
     return sorted(u for u in both
                   if not any(len(v) > len(u) and v[:len(u)] == u for v in both))
+
+
+def shape_by_levels(children: dict, leaves, root_type: str):
+    """The nested shape (None for a leaf, a tuple of child shapes otherwise)
+    of the complete tree with this leaf set below a vertex of ``root_type``,
+    through the prefix set of its interior: types shallow to deep, shapes
+    deep to shallow.  Raises ValueError naming an ancestor clash, then an
+    index out of range, then a missing branch."""
+    leaves = sorted(set(tuple(a) for a in leaves))
+    if not leaves:
+        raise ValueError("a complete tree has at least one leaf")
+    if leaves == [()]:
+        return None
+    leaf_set = set(leaves)
+    internal = {u[:k] for u in leaves for k in range(len(u))}
+    clash = leaf_set & internal
+    if clash:
+        raise ValueError(f"leaf {min(clash)} is an ancestor of another leaf")
+    types = {(): root_type}
+    for v in sorted((internal | leaf_set) - {()}, key=lambda v: (len(v), v)):
+        kids = children[types[v[:-1]]]
+        if v[-1] >= len(kids):
+            raise ValueError(f"index {v[-1]} out of range at {v[:-1]}")
+        types[v] = kids[v[-1]]
+    shapes: dict = {u: None for u in leaves}
+    for v in sorted(internal, key=len, reverse=True):
+        kids = [v + (i,) for i in range(len(children[types[v]]))]
+        for c in kids:
+            if c not in shapes:
+                raise ValueError(f"missing branch {c}: leaves do not cover "
+                                 "the boundary")
+        shapes[v] = tuple(shapes[c] for c in kids)
+    return shapes[()]

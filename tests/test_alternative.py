@@ -266,6 +266,36 @@ def test_dichotomy_undecided_on_tiny_budget(v_gens):
     assert "reason" in res.diagnostics
 
 
+STOPPED = "stable parts empty but neither branch verified in budget"
+
+
+@pytest.mark.parametrize("depth, stop", [
+    (0, {"step": "separation", "exponent": 4, "cap": 2}),
+    (2, {"step": "separation", "exponent": 4, "cap": 2}),
+    (3, {"step": "separation", "exponent": 4, "cap": 3}),
+    (4, {"step": "delta2", "exponent": 5, "cap": 4}),
+])
+def test_undecided_names_the_capped_exponent(v_gens, depth, stop):
+    res = dichotomy(v_gens, Budgets(expansion_depth=depth))
+    assert res.verdict == "undecided"
+    assert res.diagnostics["reason"] == STOPPED
+    assert res.diagnostics["pingpong_stop"] == stop
+    # at the named exponent the construction gets past that step
+    more = dichotomy(v_gens, Budgets(expansion_depth=stop["exponent"]))
+    later = (more.diagnostics or {}).get("pingpong_stop")
+    assert later is None or later["step"] != stop["step"]
+
+
+def test_pingpong_stop_names_the_step(v_gens):
+    assert dichotomy(v_gens, Budgets(expansion_depth=12)).verdict == "ping-pong"
+    res = dichotomy(v_gens, Budgets(word_length=1))
+    assert res.diagnostics["reason"] == STOPPED
+    assert res.diagnostics["pingpong_stop"] == {"step": "second translation"}
+    # no ping-pong construction ran
+    res = dichotomy(v_gens, Budgets(word_length=0))
+    assert res.verdict == "undecided" and "pingpong_stop" not in res.diagnostics
+
+
 def test_dichotomy_never_produces_unverified_witness(v_gens, sigma, tau, x0, x1):
     # soundness sweep over the suite cases: whichever branch is returned
     # passes its own re-verification

@@ -6,6 +6,10 @@
   the library makes has been canonicalised there.
 - Only ``treespace.py`` reaches ``_node_merge``, so every clopen set made of
   many pieces is built in one pass by ``_node_build``.
+- The tree-pair builders of ``element.py`` (``shape_from_leaves``,
+  ``TreePair.__init__``, ``reduce_map``, ``Element.inverse``) call neither
+  ``type_at`` nor ``interior_vertices``: they carry types down from parents,
+  and a walk from the root per vertex would make a build superlinear.
 """
 
 import ast
@@ -83,3 +87,47 @@ def test_only_treespace_merges_tries():
              for p in sorted(SRC.glob("*.py")) if p.name != "treespace.py"}
     assert found
     assert {k: v for k, v in found.items() if v} == {}
+
+
+ROOT_WALKS = ("type_at", "interior_vertices")
+PAIR_BUILDERS = ("shape_from_leaves", "TreePair.__init__", "reduce_map",
+                 "Element.inverse")
+
+
+def root_walk_calls(source: str, names) -> dict:
+    """The ``type_at``/``interior_vertices`` calls of each named function
+    (``f`` or ``Class.method``), nested functions included."""
+    found = {}
+    for top in ast.parse(source).body:
+        defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
+        if isinstance(top, ast.ClassDef):
+            defs = [(f"{top.name}.{f.name}", f) for f in top.body
+                    if isinstance(f, ast.FunctionDef)]
+        for name, node in defs:
+            if name in names:
+                found[name] = sorted(
+                    getattr(n.func, "id", None) or n.func.attr
+                    for n in ast.walk(node) if isinstance(n, ast.Call)
+                    and {getattr(n.func, "id", None),
+                         getattr(n.func, "attr", None)} & set(ROOT_WALKS))
+    return found
+
+
+def test_root_walk_calls_are_detected():
+    assert root_walk_calls(
+        "def f(tg, v):\n"
+        "    def g(u):\n"
+        "        return tg.type_at(u)\n"
+        "    return interior_vertices([v]), g(v)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return self.tg.type_at(())\n"
+        "def h(tg):\n"
+        "    return tg.type_at(())\n", ("f", "C.m")) == {
+            "f": ["interior_vertices", "type_at"], "C.m": ["type_at"]}
+
+
+def test_pair_builders_walk_no_root_paths():
+    source = (SRC / "element.py").read_text(encoding="utf-8")
+    assert root_walk_calls(source, PAIR_BUILDERS) == {
+        name: [] for name in PAIR_BUILDERS}

@@ -1,0 +1,210 @@
+"""Tree pairs built in linear time: the one-pass shape builder against the
+level-by-level reference in ``oracles.py``, the leaf types carried down one
+walk of each shape, the inverse read off the swapped pair, and the work a
+product, a power and an inverse do."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import vtrees.element as element_module
+from vtrees import TypeGraph, builtin_generators, compose, random_element, reduce
+from vtrees.element import TreePair, graft, graft_map, shape_from_leaves, shape_leaves
+
+from oracles import shape_by_levels
+
+TREES = {
+    "binary": TypeGraph({"b": ["b", "b"]}, "b"),
+    "wide": TypeGraph({"r": ["b", "b", "b"], "b": ["b", "b"]}, "r"),
+    "ray": TypeGraph({"a": ["a", "b"], "b": ["b"]}, "a"),
+}
+EXAMPLES = settings(database=None, derandomize=True, max_examples=200,
+                    deadline=None)
+KINDS = ("at least one leaf", "ancestor", "out of range", "missing branch")
+
+
+def type_below(tg, t, address):
+    for i in address:
+        t = tg.children[t][i]
+    return t
+
+
+def random_leaves(tg, root_type, carets, rng):
+    """The leaves of a complete tree below a vertex of ``root_type``, grown
+    by ``carets`` expansions of uniformly chosen leaves."""
+    leaves = {(): root_type}
+    for _ in range(carets):
+        u = rng.choice(sorted(leaves))
+        for i, c in enumerate(tg.children[leaves.pop(u)]):
+            leaves[u + (i,)] = c
+    return sorted(leaves)
+
+
+def corrupt(tg, root_type, leaves, how, rng):
+    """``leaves`` with one defect: a leaf dropped, a descendant of a leaf
+    added, or an index past its vertex's arity (``leaves`` must be valid
+    addresses for this one)."""
+    leaves = list(leaves)
+    if how == "drop":
+        leaves.pop(rng.randrange(len(leaves)))
+    elif how == "descendant":
+        u = rng.choice(leaves)
+        leaves.append(u + tuple(rng.randrange(2)
+                                for _ in range(rng.randint(1, 3))))
+    else:
+        u = rng.choice(leaves)
+        k = rng.randrange(len(u) + 1)
+        arity = tg.arity(type_below(tg, root_type, u[:k]))
+        bad = u[:k] + (arity + rng.randrange(3),)
+        leaves[leaves.index(u)] = bad + u[k + 1:] if k < len(u) else bad
+    return leaves
+
+
+def outcome(build):
+    """The shape, or the kind of ValueError."""
+    try:
+        return build()
+    except ValueError as e:
+        kinds = [k for k in KINDS if k in str(e)]
+        assert len(kinds) == 1, str(e)
+        return kinds[0]
+
+
+@EXAMPLES
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32),
+       carets=st.integers(0, 14),
+       defects=st.sets(st.sampled_from(("range", "drop", "descendant"))))
+def test_shape_builder_matches_level_reference(tree, seed, carets, defects):
+    tg = TREES[tree]
+    rng = random.Random(seed)
+    root = rng.choice(tg.types)
+    leaves = random_leaves(tg, root, carets, rng)
+    for how in ("range", "drop", "descendant"):
+        if how in defects and (how != "drop" or len(leaves) > 1):
+            leaves = corrupt(tg, root, leaves, how, rng)
+    given_order = leaves + rng.sample(leaves, rng.randint(0, len(leaves)))
+    rng.shuffle(given_order)
+    got = outcome(lambda: shape_from_leaves(tg, given_order, root))
+    assert got == outcome(lambda: shape_by_levels(tg.children, leaves, root))
+    if not isinstance(got, str):
+        assert shape_leaves(got) == sorted(set(leaves))
+
+
+@pytest.mark.parametrize("how, kind", [("drop", "missing branch"),
+                                       ("descendant", "ancestor"),
+                                       ("range", "out of range")])
+def test_each_defect_gives_its_error(how, kind):
+    for tree, tg in sorted(TREES.items()):
+        for seed in range(30):
+            rng = random.Random(seed)
+            root = rng.choice(tg.types)
+            leaves = random_leaves(tg, root, rng.randint(2, 10), rng)
+            if how == "drop" and len(leaves) == 1:
+                continue  # below a ray
+            bad = corrupt(tg, root, leaves, how, rng)
+            assert outcome(lambda: shape_from_leaves(tg, bad, root)) == kind, \
+                (tree, seed, bad)
+
+
+def test_shape_builder_rejects_negative_indices():
+    with pytest.raises(ValueError, match="out of range"):
+        shape_from_leaves(TREES["binary"], [(-1,), (0,), (1,)], "b")
+
+
+def test_pair_rejects_a_shape_that_does_not_fit():
+    with pytest.raises(ValueError, match="arity"):
+        TreePair(TREES["binary"], (None, None, None), (None, None, None),
+                 (0, 1, 2))
+
+
+def random_sub(tg, rng):
+    """A ``graft`` argument: a random complete shape below about half of
+    the leaf pairs (order-isomorphic leaves take the same shapes)."""
+    def sub_at(u, w):
+        if rng.random() < 0.5:
+            return None
+        t = tg.type_at(u)
+        return shape_by_levels(tg.children,
+                               random_leaves(tg, t, rng.randint(1, 3), rng), t)
+    return sub_at
+
+
+@EXAMPLES
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32))
+def test_leaf_types_are_the_root_walk_types(tree, seed):
+    tg = TREES[tree]
+    rng = random.Random(seed)
+    g = random_element(tg, rng.randint(0, 8), rng)
+    for pair in (g.pair, graft(g.pair, random_sub(tg, rng))):
+        assert pair.domain_types == tuple(map(tg.type_at, pair.domain_leaves))
+        assert pair.range_types == tuple(map(tg.type_at, pair.range_leaves))
+
+
+def inverse_reference(g, rng):
+    """``reduce`` of the inverted leaf map of a random refinement of g."""
+    kappa = graft_map(g.pair, random_sub(g.tg, rng))
+    return reduce(TreePair.from_map(g.tg, {w: u for u, w in kappa.items()}))
+
+
+@EXAMPLES
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32))
+def test_inverse_is_the_reduced_inverted_map(tree, seed):
+    tg = TREES[tree]
+    rng = random.Random(seed)
+    g = random_element(tg, rng.randint(0, 8), rng)
+    inv = g.inverse()
+    assert inv.pair == inverse_reference(g, rng)
+    assert compose(g, inv).is_identity()
+    assert compose(inv, g).is_identity()
+
+
+def test_inverse_reference_lifts_singleton_leaves():
+    # on the ray tree some reference maps have a singleton leaf pair below
+    # an arity-1 vertex, so reduce applies the lift rule on the way
+    tg = TREES["ray"]
+    lifted = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = random_element(tg, rng.randint(0, 8), rng)
+        kappa = graft_map(g.pair, random_sub(tg, rng))
+        lifted += any(tg.is_singleton_type(tg.type_at(u))
+                      and tg.arity(tg.type_at(u[:-1])) == 1 for u in kappa)
+        assert g.inverse().pair == reduce(
+            TreePair.from_map(tg, {w: u for u, w in kappa.items()}))
+    assert lifted >= 5
+
+
+def test_products_powers_and_inverses_walk_no_root_paths(monkeypatch):
+    # types come down one walk of each shape: no TypeGraph.type_at call;
+    # an inverse is one TreePair and no shape rebuild
+    x0 = builtin_generators(TREES["binary"])["x0"]
+    samples = {name: [random_element(tg, 6, random.Random(900 + i))
+                      for i in range(6)] for name, tg in TREES.items()}
+    counts = {"type_at": 0, "pair": 0, "shape": 0}
+    type_at = TypeGraph.type_at
+    init = TreePair.__init__
+    build = element_module.shape_from_leaves
+
+    def counting(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(TypeGraph, "type_at", counting("type_at", type_at))
+    monkeypatch.setattr(TreePair, "__init__", counting("pair", init))
+    monkeypatch.setattr(element_module, "shape_from_leaves",
+                        counting("shape", build))
+    for n in (7, 40, -40):
+        x0.power(n)
+    for elements in samples.values():
+        for g, h in zip(elements, elements[1:]):
+            compose(g, h)
+    assert counts["type_at"] == 0
+    assert counts["pair"] > 0
+    for elements in samples.values():
+        for g in elements:
+            counts.update(type_at=0, pair=0, shape=0)
+            g.inverse()
+            assert counts == {"type_at": 0, "pair": 1, "shape": 0}
