@@ -122,20 +122,6 @@ class ProximalContraction:
     target: ClopenSet  # B^eps
 
 
-@dataclass(frozen=True)
-class ContractionPair:
-    """Finite sets (a, b) such that for each requested radius some subgroup
-    element maps everything outside a's neighborhood into b's neighborhood."""
-
-    a_points: tuple
-    b_points: tuple
-    witnesses: dict  # eps -> (Element, Word | None)
-
-    @property
-    def cardinality_bound(self) -> int:
-        return max(len(self.a_points), len(self.b_points))
-
-
 _STAGE_POWER_CAP = 512
 _ROUND_CAP = 16
 
@@ -293,7 +279,6 @@ class PingPongWitness:
     v2: ClopenSet
     g_word: Word | None = None
     h_word: Word | None = None
-    contraction_pairs: tuple | None = None
 
 
 def verify_pingpong(w: PingPongWitness):
@@ -355,50 +340,34 @@ def _radius_exponent(points, target: ClopenSet, floor: int):
 
 
 def build_pingpong(s: GeneratingSet, budgets: Budgets = Budgets(),
-                   context=None):
+                   context: _Run | None = None):
     """A verified ping-pong witness for the subgroup, or None over budget.
 
-    ``context`` may carry (elements, words, reports) whose stable parts are
-    already known to intersect emptily, as a fourth item a letter-image
-    table to share with the caller, and as a fifth a dict into which the
-    step where the construction stopped is written, under
-    ``"pingpong_stop"``; otherwise the enumeration is run until that
-    happens (or the word budget runs out).  Both translation searches run
-    over point tuples and share one letter-image table.
+    ``context`` is the driver's run, whose contributors' stable parts
+    intersect emptily: the construction reads the contributors, their
+    hyperbolic points, the budgets and the letter-image table from it, and
+    writes the step where it stopped into ``context.stop``.  Without a
+    context, a new run absorbs the enumeration's elements until the core is
+    empty (or the word budget runs out).  Both translation searches run over
+    point tuples and share the run's letter-image table.
     """
-    witness, stop = _pingpong(s, budgets, context)
-    if stop and context is not None and len(context) > 4:
-        context[4]["pingpong_stop"] = stop
+    run = context
+    if run is None:
+        run = _Run(s, budgets)
+        if not any(run.absorb(word, e)
+                   for word, e in enumerate_elements(s, budgets.word_length)):
+            return None
+    witness, run.stop = _pingpong(run)
     return witness
 
 
-def _pingpong(s: GeneratingSet, budgets: Budgets, context):
+def _pingpong(run: _Run):
     """``build_pingpong``'s witness, or None and the step where it stopped:
     ``{"step": name}``, and for a radius over the ``expansion_depth`` cap
     also the ``exponent`` it needed and the ``cap``."""
-    tg = s.tg
-    images = _LetterImages(s)
-    if context is None:
-        hs, hw, hr = [], [], []
-        inter = ClopenSet.full(tg)
-        for word, e in enumerate_elements(s, budgets.word_length):
-            rep = dynamics(e)
-            if rep.stable.is_all():
-                continue
-            hs.append(e)
-            hw.append(word)
-            hr.append(rep)
-            inter = inter.intersect(rep.stable)
-            if inter.is_empty():
-                break
-        if not inter.is_empty():
-            return None, {"step": "stable parts"}
-    else:
-        hs, hw, hr = context[:3]
-        if len(context) > 3:
-            images = context[3]
-
-    b_points = _hyperbolic_points(hr)
+    s, budgets, images = run.s, run.budgets, run.images
+    hw, hs, hr = zip(*run.contributors)
+    b_points = run.candidates
     if not b_points:
         return None, {"step": "hyperbolic points"}
 
@@ -424,7 +393,7 @@ def _pingpong(s: GeneratingSet, budgets: Budgets, context):
     if m > depth:
         return None, {"step": "separation", "exponent": m, "cap": depth}
     star = Fraction(1, 2 ** m)
-    u1, v1, u2, v2 = (epsilon_neighborhood(tg, p, star) for p in (a1, b1, a2, b2))
+    u1, v1, u2, v2 = (epsilon_neighborhood(s.tg, p, star) for p in (a1, b1, a2, b2))
 
     # g1 = contraction o u^-1 maps X - U1 into V1 once B^delta sits inside
     # u^-1(U1); the contraction then keeps it inside B^delta <= V1.
@@ -434,7 +403,7 @@ def _pingpong(s: GeneratingSet, budgets: Budgets, context):
         return None, {"step": "delta1", "exponent": m1, "cap": depth}
     c1 = proximal_contraction(hs, Fraction(1, 2 ** m1), words=hw, reports=hr)
     g1 = compose(c1.element, uinv)
-    g1_word = (c1.word + word_inverse(u_word)) if c1.word is not None else None
+    g1_word = c1.word + word_inverse(u_word)
 
     # g2 needs B^delta inside (wu)^-1(U2), and w(B^delta) inside V2, that
     # is B^delta inside w^-1(V2) as w is a bijection
@@ -445,14 +414,9 @@ def _pingpong(s: GeneratingSet, budgets: Budgets, context):
         return None, {"step": "delta2", "exponent": m2, "cap": depth}
     c2 = proximal_contraction(hs, Fraction(1, 2 ** m2), words=hw, reports=hr)
     g2 = compose(w, compose(c2.element, wuinv))
-    g2_word = (tuple(w_word) + c2.word + word_inverse(tuple(w_word) + tuple(u_word))
-               if c2.word is not None else None)
+    g2_word = w_word + c2.word + word_inverse(w_word + u_word)
 
-    # the recorded witnesses contract the complement of the A-neighborhood
-    # into the B-neighborhood at the separation radius
-    pairs = (ContractionPair(tuple(a1), tuple(b1), {star: (g1, g1_word)}),
-             ContractionPair(tuple(a2), tuple(b2), {star: (g2, g2_word)}))
-    witness = PingPongWitness(g1, g2, u1, v1, u2, v2, g1_word, g2_word, pairs)
+    witness = PingPongWitness(g1, g2, u1, v1, u2, v2, g1_word, g2_word)
     ok, reason = verify_pingpong(witness)
     if not ok:
         raise AssertionError(f"constructed witness failed verification: {reason}")
@@ -495,9 +459,10 @@ def dichotomy(s: GeneratingSet, budgets: Budgets = Budgets()) -> DichotomyResult
 
 
 class _Run:
-    """One ``dichotomy`` call: the letter-image table its point searches
-    share, the points whose orbits overflowed, and the frontier that an
-    undecided verdict reports."""
+    """One ``dichotomy`` call, or one context-less ``build_pingpong``: the
+    letter-image table its point searches share, the points whose orbits
+    overflowed, the stable core and its contributors, and the frontier that
+    an undecided verdict reports."""
 
     def __init__(self, s: GeneratingSet, budgets: Budgets):
         self.s = s
@@ -506,8 +471,23 @@ class _Run:
         self.overflowed: dict = {}  # bound -> points with a larger orbit
         self.scanned = 0
         self.inter = ClopenSet.full(s.tg)
-        self.contributors: list = []
-        self.candidates: list = []
+        self.contributors: list = []  # (word, element, report)
+        self.candidates: list = []  # hyperbolic points, once the core is empty
+        self.stop: dict | None = None  # where the ping-pong construction stopped
+
+    def absorb(self, word: Word, e: Element) -> bool:
+        """Intersect e's stable part into the core, recording e as a
+        contributor unless its stable part is everything.  When the core is
+        now empty, the contributors' hyperbolic points become the
+        candidates, and the answer is True."""
+        rep = dynamics(e)
+        if not rep.stable.is_all():
+            self.contributors.append((word, e, rep))
+            self.inter = self.inter.intersect(rep.stable)
+        if not self.inter.is_empty():
+            return False
+        self.candidates = _hyperbolic_points(r for _, _, r in self.contributors)
+        return True
 
     def probe(self, xi: BoundaryPoint, bound: int) -> Orbit | None:
         """``orbit(xi, s, bound)``.  A point reached by an earlier search to
@@ -527,11 +507,7 @@ class _Run:
             self.scanned += 1
             if self.scanned > self.budgets.dovetail_steps:
                 return self.undecided("dovetail step budget exhausted")
-            rep = dynamics(e)
-            if not rep.stable.is_all():
-                self.contributors.append((word, e, rep))
-                self.inter = self.inter.intersect(rep.stable)
-            if self.inter.is_empty():
+            if self.absorb(word, e):
                 return self.empty_core_branch()
             # the invariant branch depends only on the core, and it has
             # already failed on the last core it was given
@@ -561,28 +537,22 @@ class _Run:
                           budgets.closure_size)
 
     def empty_core_branch(self) -> DichotomyResult:
-        hs = [e for _, e, _ in self.contributors]
-        hw = [w for w, _, _ in self.contributors]
-        hr = [r for _, _, r in self.contributors]
-        self.candidates = _hyperbolic_points(hr)
         # complete finite-orbit scan: an invariant measure would have an atom
         # in the hyperbolic point set (see module docstring)
         for xi in self.candidates:
             res = self.probe(xi, self.budgets.orbit_size)
             if res is not None:
                 return DichotomyResult("finite-orbit", orbit=res)
-        stopped: dict = {}
-        witness = build_pingpong(self.s, self.budgets,
-                                 context=(hs, hw, hr, self.images, stopped))
+        witness = build_pingpong(self.s, self.budgets, context=self)
         if witness is not None:
             return DichotomyResult("ping-pong", witness=witness)
         return self.undecided(
-            "stable parts empty but neither branch verified in budget",
-            **stopped)
+            "stable parts empty but neither branch verified in budget")
 
-    def undecided(self, reason: str, **more) -> DichotomyResult:
-        """The frontier, and ``more`` (the ``pingpong_stop`` of a ping-pong
-        construction that stopped)."""
+    def undecided(self, reason: str) -> DichotomyResult:
+        """The frontier, and as ``pingpong_stop`` the step where a ping-pong
+        construction stopped."""
+        stop = {"pingpong_stop": self.stop} if self.stop else {}
         return DichotomyResult("undecided", diagnostics={
             "reason": reason,
             "elements_scanned": self.scanned,
@@ -590,5 +560,5 @@ class _Run:
             "contributor_words": [word_str(w) for w, _, _ in self.contributors],
             "candidate_points": [str(p) for p in self.candidates],
             "budgets": asdict(self.budgets),
-            **more,
+            **stop,
         })

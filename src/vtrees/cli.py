@@ -169,9 +169,14 @@ def witness_from_json(tg: TypeGraph, doc: dict) -> PingPongWitness:
         h = parse_element(tg, doc["h"])
         sets = {}
         for key in ("U1", "V1", "U2", "V2"):
-            sets[key] = ClopenSet.from_balls(tg, [parse_address(a) for a in doc[key]])
-        gw = parse_word(doc["g_word"]) if doc.get("g_word") else None
-        hw = parse_word(doc["h_word"]) if doc.get("h_word") else None
+            balls = doc[key]
+            if not (isinstance(balls, list) and all(isinstance(a, str) for a in balls)):
+                raise TypeError(f"{key} must be an array of ball addresses")
+            sets[key] = ClopenSet.from_balls(tg, [parse_address(a) for a in balls])
+        words = [doc.get(key) for key in ("g_word", "h_word")]
+        if not all(w is None or isinstance(w, str) for w in words):
+            raise TypeError("g_word and h_word must be words")
+        gw, hw = (parse_word(w) if w else None for w in words)
     except (KeyError, TypeError) as e:
         raise FormatError(f"malformed witness document: {e}") from None
     return PingPongWitness(g, h, sets["U1"], sets["V1"], sets["U2"], sets["V2"],
@@ -432,7 +437,7 @@ def _cmd_pingpong_verify(session, args):
         doc = json.loads(_read(args.witness))
     except json.JSONDecodeError as e:
         raise FormatError(f"witness file is not valid JSON: {e}") from None
-    if "witness" in doc:
+    if isinstance(doc, dict) and "witness" in doc:
         doc = doc["witness"]
     w = witness_from_json(tg, doc)
     ok, reason = verify_pingpong(w)

@@ -210,7 +210,7 @@ class TreePair:
         self.range_leaves, self.range_types = typed_leaves(tg, range_)
         if len(self.domain_leaves) != len(self.range_leaves):
             raise ValueError("domain and range trees have different leaf counts")
-        if sorted(self.perm) != list(range(len(self.perm))):
+        if sorted(self.perm) != list(range(len(self.domain_leaves))):
             raise ValueError("perm is not a bijection of leaf indices")
         for u, t, pi in zip(self.domain_leaves, self.domain_types, self.perm):
             if not tg.subtree_order_isomorphic(t, self.range_types[pi]):
@@ -286,8 +286,8 @@ def parse_pair(tg: TypeGraph, text: str) -> TreePair:
     try:
         domain = shape_from_leaves(tg, dom, tg.root_type)
         range_ = shape_from_leaves(tg, ran, tg.root_type)
-        if sorted(dom) != dom or sorted(ran) != ran:
-            raise ValueError("leaves must be listed in depth-first order")
+        if any(a >= b for ls in (dom, ran) for a, b in zip(ls, ls[1:])):
+            raise ValueError("leaves must be distinct and in depth-first order")
         return TreePair(tg, domain, range_, perm)
     except ValueError as e:
         raise FormatError(f"invalid tree pair {text!r}: {e}") from None

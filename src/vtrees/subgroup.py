@@ -14,6 +14,7 @@ a budget is an answer, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
 from .treespace import (
@@ -251,18 +252,11 @@ def all_elliptic_or_witness(s: GeneratingSet, budget: int) -> EllipticityReport:
 
 @dataclass(frozen=True)
 class GroupClosure:
-    """A finite subgroup: its elements, their words, and the Cayley edges."""
+    """A finite subgroup: its elements and their words, in shortlex order."""
 
     generating_set: GeneratingSet
     elements: tuple
     words: tuple
-    edges: dict  # (element index, letter) -> element index
-
-    def index_of(self, e: Element) -> int:
-        for i, x in enumerate(self.elements):
-            if x == e:
-                return i
-        raise KeyError("element not in closure")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -270,30 +264,16 @@ class GroupClosure:
 
 def finite_closure(s: GeneratingSet, bound: int) -> GroupClosure | None:
     """The full closure of the subgroup if it has at most ``bound`` elements,
-    else None."""
+    else None.  Until the enumeration ends every level adds an element, so
+    a subgroup with more than ``bound`` elements has shown more than
+    ``bound`` of them by word length ``bound``."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    e0 = identity(s.tg)
-    elements = [e0]
-    words = [()]
-    index = {e0.key(): 0}
-    letters = s.letters()
-    edges = {}
-    i = 0
-    while i < len(elements):
-        word, e = words[i], elements[i]
-        for letter, le in letters:
-            e2 = compose(e, le)
-            k = e2.key()
-            if k not in index:
-                if len(elements) >= bound:
-                    return None
-                index[k] = len(elements)
-                elements.append(e2)
-                words.append(word + (letter,))
-            edges[(i, letter)] = index[k]
-        i += 1
-    return GroupClosure(s, tuple(elements), tuple(words), edges)
+    found = list(islice(enumerate_elements(s, bound), bound + 1))
+    if len(found) > bound:
+        return None
+    words, elements = zip(*found)
+    return GroupClosure(s, elements, words)
 
 
 # ---------------------------------------------------------------------------

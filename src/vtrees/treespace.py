@@ -173,6 +173,8 @@ def load_type_graph(text: str) -> TypeGraph:
         raise FormatError(f"type graph is not valid JSON: {e}") from None
     if not isinstance(doc, dict) or "types" not in doc or "root" not in doc:
         raise FormatError('type graph must be {"types": {...}, "root": ...}')
+    if not isinstance(doc["root"], str):
+        raise FormatError('"root" must be a type name')
     types = doc["types"]
     if not isinstance(types, dict) or not types:
         raise FormatError('"types" must be a nonempty mapping')

@@ -18,7 +18,9 @@ different routes to the same value:
 - the ping-pong radius searches that build neighborhoods one radius at a
   time, and the caret union of two trees from their leaf sets;
 - the nested shape of a complete tree from its leaf set, level by level
-  through prefix sets.
+  through prefix sets;
+- the finite closure of a subgroup by a breadth-first search of its Cayley
+  graph.
 """
 
 from __future__ import annotations
@@ -450,3 +452,29 @@ def shape_by_levels(children: dict, leaves, root_type: str):
                                  "the boundary")
         shapes[v] = tuple(shapes[c] for c in kids)
     return shapes[()]
+
+
+# ---------------------------------------------------------------------------
+# Finite closure by a Cayley-graph search
+
+
+def closure_by_bfs(s, bound: int):
+    """(elements, words) of the subgroup in breadth-first order if it has at
+    most ``bound`` elements, else None: the search that multiplies every
+    element found by every letter, inverse of its last letter included."""
+    from vtrees import compose, identity
+    e0 = identity(s.tg)
+    elements, words = [e0], [()]
+    seen = {e0.key()}
+    i = 0
+    while i < len(elements):
+        for letter, le in s.letters():
+            e2 = compose(elements[i], le)
+            if e2.key() not in seen:
+                if len(elements) >= bound:
+                    return None
+                seen.add(e2.key())
+                elements.append(e2)
+                words.append(words[i] + (letter,))
+        i += 1
+    return elements, words

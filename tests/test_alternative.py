@@ -168,17 +168,16 @@ def test_build_pingpong_v_generators(v_gens):
     assert v_gens.evaluate(w.g_word) == w.g
     assert v_gens.evaluate(w.h_word) == w.h
     assert free_group_smoke(w.g, w.h, 4)
-    # recorded contraction pairs: each witness maps the complement of its
-    # first set's neighborhood into the second's, at the recorded radius
-    from vtrees import epsilon_neighborhood
-    tg = w.g.tg
-    for pair in w.contraction_pairs:
-        assert pair.cardinality_bound <= len(pair.a_points) + len(pair.b_points)
-        for eps, (elem, word) in pair.witnesses.items():
-            a_nb = epsilon_neighborhood(tg, pair.a_points, eps)
-            b_nb = epsilon_neighborhood(tg, pair.b_points, eps)
-            assert elem.apply_clopen(a_nb.complement()).subset_of(b_nb)
-            assert v_gens.evaluate(word) == elem
+
+
+def test_build_pingpong_without_context_matches_driver(v_gens):
+    # the context-less construction absorbs the same elements as the driver,
+    # so it builds the driver's witness
+    w = build_pingpong(v_gens, Budgets())
+    d = dichotomy(v_gens).witness
+    assert (w.g_word, w.h_word) == (d.g_word, d.h_word)
+    assert ([c.ball_strs() for c in (w.u1, w.v1, w.u2, w.v2)]
+            == [c.ball_strs() for c in (d.u1, d.v1, d.u2, d.v2)])
 
 
 def test_build_pingpong_fails_for_torsion(sigma):

@@ -273,6 +273,49 @@ def test_input_errors_exit_3(files, capsys, tmp_path):
     assert code == 3 and "--threads" in err
 
 
+@pytest.mark.parametrize("pair, reason", [
+    # a perm longer than the leaf lists
+    ("pair{domain=[0,1], range=[0,1], perm=[0,1,2]}", "not a bijection"),
+    # a repeated leaf
+    ("pair{domain=[0,0,1], range=[0,1,1], perm=[0,1,2]}", "distinct"),
+])
+def test_malformed_pairs_exit_3(files, capsys, tmp_path, pair, reason):
+    el = tmp_path / "el.txt"
+    el.write_text(pair + "\n")
+    code, out, err = run_cli(["order", "--tree", str(files / "binary.json"),
+                              "--element", str(el)], capsys)
+    assert code == 3 and out == "" and reason in err
+
+
+@pytest.mark.parametrize("root", ['["b"]', '{"b": 1}', "5", "null"])
+def test_malformed_type_graph_root_exits_3(files, capsys, tmp_path, root):
+    tree = tmp_path / "tree.json"
+    tree.write_text('{"types": {"b": ["b", "b"]}, "root": %s}' % root)
+    code, out, err = run_cli(["order", "--tree", str(tree),
+                              "--element", str(files / "sigma.txt")], capsys)
+    assert code == 3 and out == "" and "input error" in err
+
+
+WITNESS = {"g": SIGMA, "h": SIGMA, "g_word": "a", "h_word": "b",
+           "U1": ["00"], "V1": ["01"], "U2": ["10"], "V2": ["11"]}
+
+
+@pytest.mark.parametrize("change", [
+    {"U1": [5]}, {"V2": ["0", None]}, {"U2": "10"},
+    {"g_word": 3}, {"h_word": ["b"]}, {"g": 5},
+], ids=["ball-int", "ball-null", "balls-string", "word-int", "word-list",
+        "pair-int"])
+def test_malformed_witness_exits_3(files, capsys, tmp_path, change):
+    wfile = tmp_path / "witness.json"
+    args = ["pingpong-verify", "--tree", str(files / "binary.json"),
+            "--witness", str(wfile)]
+    wfile.write_text(json.dumps(WITNESS))
+    assert run_json(args, capsys)["ok"] is False
+    wfile.write_text(json.dumps({**WITNESS, **change}))
+    code, out, err = run_cli(args, capsys)
+    assert code == 3 and out == "" and "malformed witness" in err
+
+
 def test_text_format(files, capsys):
     code, out, _ = run_cli(["order", "--tree", str(files / "binary.json"),
                             "--element", str(files / "sigma.txt"),

@@ -412,6 +412,12 @@ def test_parse_errors(binary):
     with pytest.raises(FormatError):
         # leaves out of depth-first order
         parse_pair(binary, "pair{domain=[1,0], range=[0,1], perm=[0,1]}")
+    with pytest.raises(FormatError, match="not a bijection"):
+        # more perm entries than leaves
+        parse_pair(binary, "pair{domain=[0,1], range=[0,1], perm=[0,1,2]}")
+    with pytest.raises(FormatError, match="distinct"):
+        # a repeated leaf
+        parse_pair(binary, "pair{domain=[0,0,1], range=[0,1,1], perm=[0,1,2]}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@
   ``TreePair.__init__``, ``reduce_map``, ``Element.inverse``) call neither
   ``type_at`` nor ``interior_vertices``: they carry types down from parents,
   and a walk from the root per vertex would make a build superlinear.
+- The names ``vtrees/__init__.py`` exports are pinned: they are the public
+  API, and README names every public name that is removed.
 """
 
 import ast
@@ -131,3 +133,54 @@ def test_pair_builders_walk_no_root_paths():
     source = (SRC / "element.py").read_text(encoding="utf-8")
     assert root_walk_calls(source, PAIR_BUILDERS) == {
         name: [] for name in PAIR_BUILDERS}
+
+
+EXPORTS = {
+    "treespace": (
+        "Address", "BoundaryPoint", "ClopenSet", "FormatError", "TypeGraph",
+        "address_str", "boundary_point", "epsilon_neighborhood",
+        "eventually_periodic_witness", "is_isolated", "load_type_graph",
+        "parse_address", "parse_eps", "parse_point", "point_is_isolated",
+        "subtree_isomorphic", "visual_distance"),
+    "element": (
+        "Element", "GeneratorFamily", "TreePair", "apply_clopen",
+        "apply_point", "builtin_generators", "compose", "element_from_map",
+        "equals", "expand", "format_element", "identity", "inverse",
+        "is_identity", "make_element", "parse_element", "random_element",
+        "reduce"),
+    "revealing": (
+        "BudgetExceeded", "Chain", "CycleData", "DynamicsReport",
+        "HypCertificate", "RevealingPair", "chains", "dynamics",
+        "hyp_power_bound", "is_elliptic", "is_revealing", "order",
+        "recheck_hyp_certificate", "reveal"),
+    "subgroup": (
+        "AdmissiblePartition", "Budgets", "EllipticityReport",
+        "GeneratingSet", "GroupClosure", "Orbit", "RestrictedElement",
+        "all_elliptic_or_witness", "common_admissible_partition",
+        "enumerate_elements", "finite_closure", "format_generating_set",
+        "orbit", "parse_generating_set", "parse_word", "restrict",
+        "restricted_closure", "word_inverse", "word_str"),
+    "alternative": (
+        "DichotomyResult", "PingPongWitness", "ProximalContraction",
+        "build_pingpong", "dichotomy", "free_group_smoke", "neumann_disjoint",
+        "proximal_contraction", "stable_intersection", "stable_set",
+        "verify_pingpong"),
+}
+
+
+def exported_names(source: str) -> dict:
+    """The names each ``from .module import ...`` of a package re-exports."""
+    return {n.module: tuple(a.asname or a.name for a in n.names)
+            for n in ast.parse(source).body if isinstance(n, ast.ImportFrom)}
+
+
+def test_exported_names_are_detected():
+    assert exported_names("from .a import X, y as z\nimport os\n"
+                          "from .b import (\n    W,\n)\n") == {
+        "a": ("X", "z"), "b": ("W",)}
+
+
+def test_exports_are_pinned():
+    # removing a name is an API change: edit this pin and README together
+    source = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert exported_names(source) == EXPORTS

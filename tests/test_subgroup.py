@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vtrees import (
     Budgets,
@@ -17,17 +18,21 @@ from vtrees import (
     finite_closure,
     format_generating_set,
     identity,
+    load_type_graph,
     orbit,
     parse_generating_set,
     parse_word,
+    random_element,
     restrict,
     restricted_closure,
     word_inverse,
     word_str,
 )
+from vtrees.element import random_complete_shape, typed_leaves
 from vtrees.treespace import FormatError
 
-from conftest import sample_elements
+from conftest import BINARY_SPEC, RAY_SPEC, WIDE_SPEC, sample_elements
+from oracles import closure_by_bfs
 
 
 def pt(tg, prefix, cycle):
@@ -180,14 +185,59 @@ def test_closure_exceeds_bound(x0):
     assert finite_closure(GeneratingSet([x0], ["x0"]), 10) is None
 
 
-def test_closure_edges_complete(sigma, tau):
+TREES = {name: load_type_graph(spec) for name, spec in
+         (("binary", BINARY_SPEC), ("wide", WIDE_SPEC), ("ray", RAY_SPEC))}
+
+
+def leaf_permutation(tg, carets, rng):
+    """An element that permutes the leaves of one random complete tree among
+    leaves of the same type, so it has finite order."""
+    leaves, types = typed_leaves(tg, random_complete_shape(tg, carets, rng))
+    mapping = {}
+    for t in sorted(set(types)):
+        us = [u for u, ut in zip(leaves, types) if ut == t]
+        mapping.update(zip(us, rng.sample(us, len(us))))
+    return element_from_map(tg, mapping)
+
+
+def random_generating_set(tree, seed):
+    """One to three generators, each a leaf permutation (finite order) or a
+    random element of up to three carets."""
+    rng = random.Random(seed)
+    tg = TREES[tree]
+    return GeneratingSet([
+        leaf_permutation(tg, rng.randint(1, 4), rng) if rng.random() < 0.8
+        else random_element(tg, rng.randint(0, 3), rng)
+        for _ in range(rng.randint(1, 3))])
+
+
+def assert_closure_matches_bfs(s, bound):
+    c = finite_closure(s, bound)
+    ref = closure_by_bfs(s, bound)
+    assert (c is None) == (ref is None)
+    if c is not None:
+        assert (list(c.elements), list(c.words)) == ref
+    return c
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32),
+       bound=st.integers(1, 64))
+def test_closure_matches_cayley_bfs(tree, seed, bound):
+    assert_closure_matches_bfs(random_generating_set(tree, seed), bound)
+
+
+def test_closure_sweep_sees_both_outcomes():
+    # the sweep's generating sets give closed and overflowing subgroups
+    closed = [assert_closure_matches_bfs(random_generating_set(tree, seed), 64)
+              is not None for tree in sorted(TREES) for seed in range(20)]
+    assert any(closed) and not all(closed)
+
+
+def test_closure_at_the_group_order(sigma, tau):
     s = GeneratingSet([sigma, tau], ["s", "t"])
-    c = finite_closure(s, 100)
-    letters = [l for l, _ in s.letters()]
-    for i in range(len(c)):
-        for letter in letters:
-            assert (i, letter) in c.edges
-            assert 0 <= c.edges[(i, letter)] < len(c)
+    assert len(assert_closure_matches_bfs(s, 8)) == 8
+    assert assert_closure_matches_bfs(s, 7) is None
 
 
 def test_ellipticity_exhaust_implies_finite_closure(sigma, tau, binary):
