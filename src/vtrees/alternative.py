@@ -42,10 +42,10 @@ from .treespace import (
     BoundaryPoint,
     ClopenSet,
     TypeGraph,
+    common_prefix_length,
     epsilon_neighborhood,
     eps_exponent,
     eventually_periodic_witness,
-    visual_distance,
 )
 from .element import Element, compose, identity
 from .revealing import BudgetExceeded, DynamicsReport, dynamics
@@ -232,14 +232,15 @@ def _first_moving_off(s: GeneratingSet, budget: int, a_points, b_points,
     The least word of a tuple has the least word of its suffix's tuple as
     suffix, so the first word found is the first element of the shortlex
     enumeration that works (docs/dynamics_notes.md, section 3).  Only that
-    word is composed.
+    word is composed.  Tuples hold point ids of ``images``.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    b_set = set(b_points)
-    start = tuple(a_points)
+    b_set = {images.id(p) for p in b_points}
+    start = tuple(images.id(p) for p in a_points)
     if b_set.isdisjoint(start):
         return (), s.evaluate(())
+    row = images.row
     seen = {start}
     level = [((), start)]
     for _ in range(budget):
@@ -249,7 +250,7 @@ def _first_moving_off(s: GeneratingSet, budget: int, a_points, b_points,
             for word, t in level:
                 if word and word[0] == inverse:
                     continue  # a free reduction has an earlier tuple
-                u = tuple(images(p)[i] for p in t)
+                u = tuple([row(p)[i] for p in t])
                 if u in seen:
                     continue
                 seen.add(u)
@@ -325,7 +326,7 @@ def _separation_exponent(sets) -> int:
     """Least m at which the 2^-m-neighborhoods of pairwise disjoint point
     sets are disjoint: balls at one depth meet only if equal, so m is 1 +
     the longest common prefix of points from different sets."""
-    return 1 + max(eps_exponent(visual_distance(x, y))
+    return 1 + max(common_prefix_length(x, y)
                    for i, xs in enumerate(sets) for ys in sets[i + 1:]
                    for x in xs for y in ys)
 
@@ -468,7 +469,7 @@ class _Run:
         self.s = s
         self.budgets = budgets
         self.images = _LetterImages(s)
-        self.overflowed: dict = {}  # bound -> points with a larger orbit
+        self.overflowed: dict = {}  # bound -> ids of points with a larger orbit
         self.scanned = 0
         self.inter = ClopenSet.full(s.tg)
         self.contributors: list = []  # (word, element, report)
@@ -492,9 +493,10 @@ class _Run:
     def probe(self, xi: BoundaryPoint, bound: int) -> Orbit | None:
         """``orbit(xi, s, bound)``.  A point reached by an earlier search to
         the same bound that overflowed has that same orbit, so it is not
-        searched again (docs/dynamics_notes.md, section 3)."""
+        searched again (docs/dynamics_notes.md, section 3).  The memo holds
+        point ids of the run's table."""
         memo = self.overflowed.setdefault(bound, set())
-        if xi in memo:
+        if self.images.id(xi) in memo:
             return None
         res, reached = _orbit_search(xi, self.s, bound, self.images)
         if res is None:

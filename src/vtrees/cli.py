@@ -440,7 +440,16 @@ def _cmd_pingpong_verify(session, args):
     if isinstance(doc, dict) and "witness" in doc:
         doc = doc["witness"]
     w = witness_from_json(tg, doc)
-    ok, reason = verify_pingpong(w)
+    # with --gens, the witness's words must evaluate exactly to g and h;
+    # both are evaluated, so an unknown letter in either is an input error
+    wrong = []
+    if args.gens:
+        s = parse_generating_set(tg, _read(args.gens))
+        wrong = [f"{name} {word_str(word)} does not evaluate to {name[0]}"
+                 for name, word, e in (("g_word", w.g_word, w.g),
+                                       ("h_word", w.h_word, w.h))
+                 if word is not None and s.evaluate(word) != e]
+    ok, reason = (False, wrong[0]) if wrong else verify_pingpong(w)
     out = {"command": "pingpong-verify", "ok": ok}
     if reason:
         out["reason"] = reason

@@ -466,10 +466,10 @@ class Element:
     # the action ------------------------------------------------------------
 
     def apply_point(self, x: BoundaryPoint) -> BoundaryPoint:
-        tg = self.tg
+        p = self.pair
+        tg = p.tg
         if x.tg is not tg and x.tg != tg:
             raise ValueError("point over a different type graph")
-        p = self.pair
         # the domain leaf above x: walk the domain shape along x's indices
         path = x.prefix
         node = p.domain

@@ -333,20 +333,35 @@ class Orbit:
 
 
 class _LetterImages:
-    """Memoised images of points under the letters of one generating set:
-    ``images(p)[i]`` is the image of p under the element of
-    ``s.letters()[i]``.  Searches that share a table share its images."""
+    """Interned points and their memoised letter images for one generating
+    set.  ``id(p)`` gives each point a dense int on first sight and
+    ``points[i]`` is the point of id i; ``row(i)[k]`` is the id of the
+    image of that point under the element of ``s.letters()[k]``, computed
+    on the first call.  Equal ids are equal points, so searches compare and
+    hash ints, and searches that share a table share its ids and images."""
 
-    __slots__ = ("letters", "rows")
+    __slots__ = ("letters", "ids", "points", "rows")
 
     def __init__(self, s: GeneratingSet):
         self.letters = s.letters()
-        self.rows = {}
+        self.ids = {}
+        self.points = []
+        self.rows = []  # rows[i] is None until row(i) fills it
 
-    def __call__(self, p: BoundaryPoint) -> list:
-        row = self.rows.get(p)
+    def id(self, p: BoundaryPoint) -> int:
+        i = self.ids.get(p)
+        if i is None:
+            i = self.ids[p] = len(self.points)
+            self.points.append(p)
+            self.rows.append(None)
+        return i
+
+    def row(self, i: int) -> list:
+        row = self.rows[i]
         if row is None:
-            row = self.rows[p] = [le.apply_point(p) for _, le in self.letters]
+            p = self.points[i]
+            row = self.rows[i] = [self.id(le.apply_point(p))
+                                  for _, le in self.letters]
         return row
 
 
@@ -358,28 +373,32 @@ def orbit(x: BoundaryPoint, s: GeneratingSet, bound: int) -> Orbit | None:
 
 def _orbit_search(x: BoundaryPoint, s: GeneratingSet, bound: int,
                   images: _LetterImages | None = None) -> tuple:
-    """(orbit, None) as ``orbit`` finds it, or (None, the points reached)
-    when the orbit has more than ``bound`` points.  Every point reached lies
-    in x's orbit, so each of them has the same too-large orbit.  Letter
-    images are read from and added to ``images`` when it is given."""
+    """(orbit, None) as ``orbit`` finds it, or (None, the ids in ``images``
+    of the points reached) when the orbit has more than ``bound`` points.
+    Every point reached lies in x's orbit, so each of them has the same
+    too-large orbit.  Letter images are read from and added to ``images``
+    when it is given.  The search runs on point ids; only the orbit it
+    returns holds points."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if x.tg != s.tg:
         raise ValueError("point over a different type graph")
     if images is None:
         images = _LetterImages(s)
-    words = {x: ()}
-    queue = [x]
-    i = 0
-    while i < len(queue):
-        y = queue[i]
-        i += 1
-        for (letter, _), z in zip(images.letters, images(y)):
+    letters = [letter for letter, _ in images.letters]
+    row = images.row
+    start = images.id(x)
+    words = {start: ()}
+    queue = [start]
+    for y in queue:
+        for letter, z in zip(letters, row(y)):
             if z not in words:
                 if len(words) >= bound:
                     return None, words.keys()
                 words[z] = (letter,) + words[y]
                 queue.append(z)
+    points = images.points
+    words = {points[i]: w for i, w in words.items()}
     pts = tuple(sorted(words, key=lambda p: p.sort_key()))
     return Orbit(x, pts, words), None
 

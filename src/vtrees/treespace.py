@@ -24,6 +24,7 @@ All values are immutable and hashable; operations never mutate shared state.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,9 +232,22 @@ class BoundaryPoint:
     forms are identical.
     """
 
+    # Slotted, with the hash made once: the orbit and translation searches
+    # build and hash points in their innermost loops.
+    __slots__ = ("tg", "prefix", "cycle", "_hash")
+
     tg: TypeGraph
     prefix: Address
     cycle: Address
+
+    def __init__(self, tg: TypeGraph, prefix: Address, cycle: Address):
+        _set_tg(self, tg)
+        _set_prefix(self, prefix)
+        _set_cycle(self, cycle)
+        _set_hash(self, hash((tg, prefix, cycle)))
+
+    def __reduce__(self):
+        return BoundaryPoint, (self.tg, self.prefix, self.cycle)
 
     def index_at(self, n: int) -> int:
         if n < len(self.prefix):
@@ -269,12 +283,12 @@ class BoundaryPoint:
                 and (self.tg is other.tg or self.tg == other.tg))
 
     def __hash__(self) -> int:
-        # Orbit searches and image tables hash every point they meet; the
-        # value is the one the dataclass would compute, made once.
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash((self.tg, self.prefix, self.cycle))
-        return h
+        return self._hash
+
+
+# The slots' own setters: the frozen class's __setattr__ refuses every write.
+_set_tg, _set_prefix, _set_cycle, _set_hash = (
+    BoundaryPoint.__dict__[name].__set__ for name in BoundaryPoint.__slots__)
 
 
 def boundary_point(tg: TypeGraph, prefix: Sequence[int], cycle: Sequence[int]) -> BoundaryPoint:
@@ -377,19 +391,28 @@ def parse_point(tg: TypeGraph, text: str) -> BoundaryPoint:
         raise FormatError(f"point {text!r}: {e}") from None
 
 
-def visual_distance(x: BoundaryPoint, y: BoundaryPoint) -> Fraction:
-    """d(x, y) = 2^(-length of the longest common address prefix); 0 iff x == y."""
+def common_prefix_length(x: BoundaryPoint, y: BoundaryPoint) -> int:
+    """Length of the longest common address prefix of two distinct points
+    over one type graph.  Canonical forms are equal iff the ends are, and
+    from the longer prefix on both ends repeat with period lcm(cycle
+    lengths), so distinct points disagree within that many indices."""
     if x.tg != y.tg:
         raise ValueError("points over different type graphs")
     if x == y:
-        return Fraction(0)
-    import math
+        raise ValueError("equal points share every prefix")
     bound = (max(len(x.prefix), len(y.prefix))
-             + math.lcm(len(x.cycle), len(y.cycle)) + 1)
-    for n in range(bound):
-        if x.index_at(n) != y.index_at(n):
-            return Fraction(1, 2 ** n)
+             + math.lcm(len(x.cycle), len(y.cycle)))
+    for n, i, j in zip(range(bound), x.indices(), y.indices()):
+        if i != j:
+            return n
     raise AssertionError("distinct canonical points must disagree within the bound")
+
+
+def visual_distance(x: BoundaryPoint, y: BoundaryPoint) -> Fraction:
+    """d(x, y) = 2^(-length of the longest common address prefix); 0 iff x == y."""
+    if x == y:
+        return Fraction(0)
+    return Fraction(1, 2 ** common_prefix_length(x, y))
 
 
 def eps_exponent(eps: Fraction) -> int:

@@ -109,3 +109,33 @@ def random_point(tg, rng, max_prefix=6, max_cycle=3):
     cycle_len = rng.randint(1, max_cycle)
     cycle = [rng.randrange(2) for _ in range(cycle_len)]
     return boundary_point(tg, prefix, cycle)
+
+
+def random_end(tg, rng, head=(), max_prefix=6, max_cycle=3):
+    """A random eventually periodic end of any tree whose prefix starts
+    with the address ``head``: each index is drawn within the arity of its
+    vertex, and the cycle is all zeros when a repeat of the drawn cycle
+    would leave the tree (on the ray tree, say)."""
+    from vtrees import boundary_point
+    prefix = list(head)
+    t = tg.type_at(head)
+    for _ in range(rng.randint(0, max_prefix)):
+        prefix.append(rng.randrange(tg.arity(t)))
+        t = tg.children[t][prefix[-1]]
+    cycle = []
+    for _ in range(rng.randint(1, max_cycle)):
+        cycle.append(rng.randrange(tg.arity(t)))
+        t = tg.children[t][cycle[-1]]
+    try:
+        return boundary_point(tg, prefix, cycle)
+    except ValueError:
+        return boundary_point(tg, prefix, [0] * len(cycle))
+
+
+def nonidentity_element(tg, size, rng):
+    """A random element at caret bound ``size`` that is not the identity
+    (on the ray tree most draws reduce to the identity)."""
+    while True:
+        e = random_element(tg, size, rng)
+        if not e.is_identity():
+            return e

@@ -12,7 +12,9 @@ different routes to the same value:
 - the revealing condition, from the raw leaf map of a tree pair;
 - canonical forms of eventually periodic ends, from their (type, index)
   sequences;
-- finite orbits, closed under string maps on point strings;
+- finite orbits, closed under string maps on point strings, and orbits
+  found by a breadth-first search over string maps;
+- the common prefix length of two points, from their digit strings;
 - ping-pong witnesses, from their pair strings and ball lists;
 - the translation search that composes every enumerated element;
 - the ping-pong radius searches that build neighborhoods one radius at a
@@ -264,6 +266,54 @@ def strmap_apply_point(m: dict, x: tuple) -> tuple:
         if s.startswith(u):
             return w + s[len(u):], c
     raise AssertionError("point escaped the leaf partition")
+
+
+def common_prefix_oracle(x: tuple, y: tuple) -> int:
+    """Length of the longest common prefix of two distinct eventually
+    periodic sequences (prefix, cycle): they differ within one period past
+    the longer prefix (see ``same_point``)."""
+    (p, c), (q, d) = x, y
+    n = max(len(p), len(q)) + math.lcm(len(c), len(d))
+    a, b = (p + c * n)[:n], (q + d * n)[:n]
+    return next(k for k in range(n) if a[k] != b[k])
+
+
+def letter_strmaps(s) -> list:
+    """(letter, string map) for every generator and inverse of a generating
+    set, in its letter order: generator order, plain before inverse."""
+    out = []
+    for name, e in zip(s.names, s.elements):
+        m = to_strmap(e)
+        out += [((name, 1), m), ((name, -1), {w: u for u, w in m.items()})]
+    return out
+
+
+def strmap_apply_word(letter_maps, word, x: tuple) -> tuple:
+    """Image of the point (prefix, cycle) under a word, its rightmost
+    letter acting first."""
+    maps = dict(letter_maps)
+    for letter in reversed(word):
+        x = strmap_apply_point(maps[letter], x)
+    return x
+
+
+def orbit_oracle(letter_maps, seed: tuple, cap: int) -> list:
+    """Breadth-first orbit of the point (prefix, cycle) under the letter
+    maps, taken in their order, as a list in order of discovery.  The
+    search stops once it has cap + 1 points, so the orbit has at most cap
+    points iff it returns at most cap.  Points are compared as sequences
+    (``same_point``)."""
+    points = [seed]
+    i = 0
+    while i < len(points) and len(points) <= cap:
+        for _, m in letter_maps:
+            z = strmap_apply_point(m, points[i])
+            if not any(same_point(z, y) for y in points):
+                points.append(z)
+                if len(points) > cap:
+                    break
+        i += 1
+    return points
 
 
 def canonical_point_oracle(children: dict, root: str, prefix, cycle) -> tuple:

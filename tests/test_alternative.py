@@ -464,7 +464,8 @@ def test_larger_probe_skips_known_overflows(monkeypatch):
     def logged(x, s, bound, images=None):
         res, reached = search(x, s, bound, images)
         if bound == budgets.closure_size:
-            log.append((x, set(reached or ())))
+            # the search reports the reached points by their ids in images
+            log.append((x, {images.points[i] for i in reached or ()}))
         return res, reached
 
     def run_all(memo):

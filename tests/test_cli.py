@@ -180,6 +180,33 @@ def test_dichotomy_and_witness_roundtrip(files, capsys, tmp_path):
     assert doc3["ok"] is False and "disjointness" in doc3["reason"]
 
 
+def test_pingpong_verify_checks_words_against_gens(files, capsys, tmp_path):
+    doc = run_json(["dichotomy", "--tree", str(files / "binary.json"),
+                    "--gens", str(files / "vgens.txt")], capsys)
+    wfile = tmp_path / "witness.json"
+    args = ["pingpong-verify", "--tree", str(files / "binary.json"),
+            "--witness", str(wfile), "--gens", str(files / "vgens.txt")]
+    wfile.write_text(json.dumps(doc["witness"]))
+    assert run_json(args, capsys) == {"command": "pingpong-verify", "ok": True}
+    # the V witness with its words swapped for x0 and sigma: the sets and
+    # inclusions still verify, the words do not give g and h
+    swapped = {**doc["witness"], "g_word": "x0", "h_word": "sigma"}
+    wfile.write_text(json.dumps(swapped))
+    assert run_json(args, capsys) == {
+        "command": "pingpong-verify", "ok": False,
+        "reason": "g_word x0 does not evaluate to g"}
+    wfile.write_text(json.dumps({**doc["witness"], "h_word": "sigma"}))
+    assert run_json(args, capsys)["reason"] == \
+        "h_word sigma does not evaluate to h"
+    # without --gens the words are not evaluated
+    wfile.write_text(json.dumps(swapped))
+    assert run_json(args[:-2], capsys)["ok"] is True
+    # a letter that is not a generator is bad input
+    wfile.write_text(json.dumps({**doc["witness"], "h_word": "x0*y"}))
+    code, out, err = run_cli(args, capsys)
+    assert code == 3 and out == "" and "'y'" in err
+
+
 def test_dichotomy_finite_orbit_and_undecided(files, capsys):
     doc = run_json(["dichotomy", "--tree", str(files / "binary.json"),
                     "--gens", str(files / "sgens.txt")], capsys)

@@ -6,7 +6,9 @@ re-canonicalises only the junction of the image leaf and the old tail
 canonical form and against the string-map image.
 """
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,29 @@ def test_point_public_form_is_unchanged():
     assert x.sort_key() == ((0, 1), (0,))
     with pytest.raises(dataclasses.FrozenInstanceError):
         x.prefix = ()
+
+
+def test_point_is_slotted_and_hashed_once(monkeypatch):
+    tg = GRAPHS["binary"]
+    x = boundary_point(tg, (0, 1), (0,))
+    assert not hasattr(x, "__dict__")
+    calls = []
+    tg_hash = TypeGraph.__hash__
+
+    def counted_hash(self):
+        calls.append(self)
+        return tg_hash(self)
+
+    monkeypatch.setattr(TypeGraph, "__hash__", counted_hash)
+    # building a point hashes its type graph once; hashing it again,
+    # directly or in a set, does not
+    y = boundary_point(tg, (0, 1, 0), (0, 0))
+    assert calls == [tg]
+    for _ in range(3):
+        assert hash(x) == hash(y) and len({x, y}) == 1
+    assert calls == [tg]
+    # copies are built through the constructor, so they keep working
+    assert copy.deepcopy(x) == pickle.loads(pickle.dumps(x)) == x
 
 
 def test_v_orbit_probes_stay_at_the_junction(v_gens, monkeypatch):

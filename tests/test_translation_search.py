@@ -6,17 +6,25 @@ import random
 import vtrees.alternative as alternative_module
 import vtrees.element as element_module
 import vtrees.subgroup as subgroup_module
-from vtrees import GeneratingSet, dynamics, enumerate_elements, neumann_disjoint
+from vtrees import (
+    GeneratingSet,
+    dynamics,
+    enumerate_elements,
+    load_type_graph,
+    neumann_disjoint,
+)
 from vtrees.alternative import _first_moving_off
 from vtrees.element import Element
 from vtrees.subgroup import _LetterImages
 
-from conftest import random_point
+from conftest import RAY_SPEC, nonidentity_element, random_end, random_point
 from oracles import first_moving_off_by_elements
 from test_dichotomy_golden import BINARY, WIDE, with_carets
 
+RAY = load_type_graph(RAY_SPEC)
 SEARCH_SEED = 11
 SEARCH_CASES = 24
+RAY_CASES = 8
 WORD_BUDGETS = range(5)
 
 
@@ -31,7 +39,11 @@ def search_cases():
     """Case i: tree (binary, wide)[i % 2], two generators of 2 + i % 3
     carets, and two (A, B) pairs: A = B = the generators' hyperbolic points,
     and random points A with B made of A's tail, letter images of some
-    points of A and one more random point."""
+    points of A and one more random point.  Then RAY_CASES cases on the ray
+    tree, whose elements are all elliptic and which has no hyperbolic
+    points: two non-identity generators of at most 8 carets, and one pair
+    of 1 + i % 2 random ends A with B made of A's head and as many letter
+    images of points of A."""
     rng = random.Random(SEARCH_SEED)
     out = []
     for i in range(SEARCH_CASES):
@@ -44,6 +56,14 @@ def search_cases():
         b = a[1:] + [rng.choice(letters).apply_point(rng.choice(a))
                      for _ in range(2 + i % 3)] + [random_point(tg, rng)]
         out.append((s, [(hyp, hyp), (a, b)]))
+    for i in range(RAY_CASES):
+        s = GeneratingSet([nonidentity_element(RAY, 8, rng) for _ in range(2)],
+                          ["a", "b"])
+        a = [random_end(RAY, rng) for _ in range(1 + i % 2)]
+        letters = [le for _, le in s.letters()]
+        b = a[:1] + [rng.choice(letters).apply_point(rng.choice(a))
+                     for _ in range(1 + i % 2)]
+        out.append((s, [(a, b)]))
     return out
 
 

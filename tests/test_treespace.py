@@ -23,16 +23,23 @@ from vtrees import (
     subtree_isomorphic,
     visual_distance,
 )
-from vtrees.treespace import address_str, eps_exponent, isolated_point_ball
+from vtrees.treespace import (
+    address_str,
+    common_prefix_length,
+    eps_exponent,
+    isolated_point_ball,
+)
 
-from conftest import BINARY_SPEC, WIDE_SPEC, RAY_SPEC, random_point
+from conftest import BINARY_SPEC, WIDE_SPEC, RAY_SPEC, random_end, random_point
 from oracles import (
     addresses_at_depth,
+    common_prefix_oracle,
     contains_point_bruteforce,
     iso_to_depth,
     max_ball_depth,
     order_iso_to_depth,
     parse_pair_strmap,
+    parse_point_str,
     strmap_image_balls,
 )
 
@@ -179,6 +186,29 @@ def test_visual_distance_pinned(binary):
 def test_visual_distance_mixed_graphs(binary, wide):
     with pytest.raises(ValueError):
         visual_distance(pt(binary, (), (0,)), pt(wide, (0,), (0,)))
+
+
+@pytest.mark.parametrize("spec", [BINARY_SPEC, WIDE_SPEC, RAY_SPEC],
+                         ids=["binary", "wide", "ray"])
+def test_common_prefix_length(spec):
+    tg = load_type_graph(spec)
+    rng = random.Random(41)
+    deep = 0
+    for _ in range(300):
+        x = random_end(tg, rng)
+        # half the pairs share a random part of x's address, then diverge
+        head = x.address_prefix(rng.randint(0, 12)) if rng.random() < 0.5 else ()
+        y = random_end(tg, rng, head=head)
+        if x == y:
+            with pytest.raises(ValueError):
+                common_prefix_length(x, y)
+            continue
+        n = common_prefix_length(x, y)
+        assert n == common_prefix_oracle(*(parse_point_str(str(p))
+                                           for p in (x, y)))
+        assert visual_distance(x, y) == Fraction(1, 2 ** n)
+        deep += n >= 4
+    assert deep >= 10
 
 
 def test_ultrametric_inequality(binary):
