@@ -25,8 +25,6 @@ import random
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress, count
-from operator import ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .treespace import (
@@ -102,89 +100,103 @@ def interior_vertices(leaves: Iterable[Address]) -> set:
 
 
 def shape_from_leaves(tg: TypeGraph, leaves: Iterable[Address], root_type: str):
-    """Build and validate the complete-subtree shape with the given leaf set.
+    """Build and validate the complete-subtree shape with the given leaf
+    set, in any order: the builder for leaf sets from outside the library.
 
     Raises ValueError when the addresses are not the exact leaf set of a
     complete subtree.  An ancestor clash is reported first, then an index
-    out of range, then a missing branch.
-
-    One pass over the sorted leaves keeps a stack of open vertices: the
-    vertices strictly above the last leaf, each with its type, carried down
-    from its parent, and the shapes of its children closed so far.  A leaf
-    closes the open vertices that are not its ancestors and opens the rest
-    of its path, so every vertex is opened and closed once.
+    out of range, then the first missing branch in depth-first order.
     """
     leaves = sorted(set(tuple(a) for a in leaves))
     if not leaves:
         raise ValueError("a complete tree has at least one leaf")
-    if leaves == [()]:
-        return None
     # in sorted order a leaf's descendants follow it directly
     for u, v in zip(leaves, leaves[1:]):
         if v[:len(u)] == u:
             raise ValueError(f"leaf {address_str(u)!r} is an ancestor of another leaf")
     children = tg.children
-    missing = []  # the first missing branch, reported once no index is bad
-
-    def place(i: int) -> str:
-        # child i comes next below the deepest open vertex; its type
-        t, kids = stack[-1]
-        if not 0 <= i < len(children[t]):
-            raise ValueError(f"index {i} out of range at "
-                             f"{address_str(here)!r} (arity {len(children[t])})")
-        if i > len(kids) and not missing:
-            missing.append(tuple(here) + (len(kids),))
-        kids.extend([None] * (i - len(kids)))
-        return children[t][i]
-
-    def close(t: str, kids: list) -> tuple:
-        # the shape of the vertex at ``here``, once no more children come
-        if len(kids) < len(children[t]) and not missing:
-            missing.append(tuple(here) + (len(kids),))
-        kids.extend([None] * (len(children[t]) - len(kids)))
-        return tuple(kids)
-
-    def close_to(n: int) -> None:
-        # close the open vertices deeper than n into their parents
-        while len(here) > n:
-            node = close(*stack.pop())
-            here.pop()
-            stack[-1][1].append(node)
-
-    here: list = []  # the address of the deepest open vertex
-    stack = [(root_type, [])]  # stack[k] is (type, kids) of the vertex here[:k]
-    prev = ()  # the first leaf closes nothing
+    missing = None  # the first missing branch, reported once no index is bad
+    nxt = ()  # the next leaf is nxt + (0, ..., 0)
     for a in leaves:
-        # the first index where a leaves the last leaf's path
-        n = next(compress(count(), map(ne, prev, a)), 0)
-        close_to(n)
-        for i in a[n:-1]:
-            stack.append((place(i), []))
-            here.append(i)
-        place(a[-1])
-        stack[-1][1].append(None)
-        prev = a
-    close_to(0)
-    shape = close(*stack.pop())
-    if missing:
-        raise ValueError(f"missing branch {address_str(missing[0])!r}: "
+        t = root_type
+        arities = []
+        for k, i in enumerate(a):
+            arities.append(len(children[t]))
+            if not 0 <= i < arities[k]:
+                raise ValueError(f"index {i} out of range at "
+                                 f"{address_str(a[:k])!r} (arity {arities[k]})")
+            t = children[t][i]
+        if missing is None:
+            nonzero = next((j for j in range(len(nxt), len(a)) if a[j]), None)
+            if a[:len(nxt)] != nxt:
+                missing = nxt
+            elif nonzero is not None:
+                missing = a[:nonzero] + (0,)
+        # the deepest vertex above a with a child after a's path
+        k = len(a) - 1
+        while k >= 0 and a[k] == arities[k] - 1:
+            k -= 1
+        nxt = a[:k] + (a[k] + 1,) if k >= 0 else None
+    if missing is None:
+        missing = nxt
+    if missing is not None:
+        raise ValueError(f"missing branch {address_str(missing)!r}: "
                          "leaves do not cover the boundary")
-    return shape
+    return ordered_shape(leaves)
+
+
+def ordered_shape(leaves: Sequence[Address]):
+    """The shape whose depth-first leaf list is ``leaves``, if there is one;
+    callers check that by comparing the shape's leaves with their list.
+    The leaf after ``l`` is ``l[:n] + (l[n] + 1, 0, ..., 0)``: its last
+    nonzero index says how many vertices above ``l`` stay open."""
+    if leaves == [()]:
+        return None
+    kids: list = [[]]  # the closed children of each open vertex, root first
+    for a in leaves:
+        n = max(len(a) - 1, 0)
+        while n and not a[n]:
+            n -= 1
+        while len(kids) > n + 1:
+            node = tuple(kids.pop())
+            kids[-1].append(node)
+        while len(kids) < len(a):
+            kids.append([])
+        kids[-1].append(None)
+    while len(kids) > 1:
+        node = tuple(kids.pop())
+        kids[-1].append(node)
+    return tuple(kids[0])
+
+
+_CLOSE = object()  # a stack marker: close the last n subshapes into one
 
 
 def shape_union(a, b):
     """Common refinement (caret union) of two shapes at one vertex."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return tuple(shape_union(x, y) for x, y in zip(a, b))
+    out: list = []  # the closed subshapes, in depth-first order
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if y is _CLOSE:
+            out[-x:] = [tuple(out[-x:])]
+        elif x is None or y is None or x is y:
+            out.append(y if x is None else x)
+        else:
+            stack.append((len(x), _CLOSE))
+            stack.extend(zip(reversed(x), reversed(y)))
+    return out[0]
 
 
 def shape_caret_count(shape) -> int:
-    if shape is None:
-        return 0
-    return 1 + sum(shape_caret_count(s) for s in shape)
+    n = 0
+    stack = [shape]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            n += 1
+            stack.extend(node)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +234,7 @@ class TreePair:
 
     @staticmethod
     def from_map(tg: TypeGraph, mapping: Mapping[Address, Address]) -> "TreePair":
-        dom = sorted(mapping)
-        ran = sorted(mapping.values())
-        index = {w: i for i, w in enumerate(ran)}
-        domain = shape_from_leaves(tg, dom, tg.root_type)
-        range_ = shape_from_leaves(tg, ran, tg.root_type)
-        perm = tuple(index[mapping[u]] for u in dom)
-        return TreePair(tg, domain, range_, perm)
+        return pair_from_ordered(tg, sorted(mapping.items()))
 
     def leaf_map(self) -> dict:
         return {u: self.range_leaves[pi]
@@ -293,98 +299,83 @@ def parse_pair(tg: TypeGraph, text: str) -> TreePair:
         raise FormatError(f"invalid tree pair {text!r}: {e}") from None
 
 
+def pair_from_ordered(tg: TypeGraph, pairs: Sequence[tuple]) -> TreePair:
+    """The tree pair of the leaf pairs ``(u, w)``, listed in depth-first
+    order of u.  Raises ValueError unless ``TreePair`` walks the given leaves
+    out of the two shapes: none missing, repeated or above another."""
+    dom = [u for u, _ in pairs]
+    ran = sorted([w for _, w in pairs])
+    index = {w: i for i, w in enumerate(ran)}
+    pair = TreePair(tg, ordered_shape(dom), ordered_shape(ran),
+                    [index[w] for _, w in pairs])
+    if pair.domain_leaves != tuple(dom) or pair.range_leaves != tuple(ran):
+        raise ValueError("the leaf pairs are not the leaves of two complete "
+                         "trees, the domain leaves in depth-first order")
+    return pair
+
+
 # ---------------------------------------------------------------------------
 # Reduction to normal form
 
 
 def reduce(pair: TreePair) -> TreePair:
-    """Contract the pair until no normal-form move applies.
-
-    Moves: (a) caret contraction where the leaf bijection maps all children
-    of a domain vertex onto all children of a range vertex index-by-index,
-    applied bottom-up; (b) on leaf pairs whose ball is a single point, lift
-    either side past arity-1 parents (this never changes the homeomorphism
-    because both balls are the same singleton).
-    The moves run on the leaf map: this is ``reduce_map`` of ``pair.leaf_map()``.
-    """
-    return reduce_map(pair.tg, pair.leaf_map())
+    """The pair in normal form: ``cancel_carets`` of its leaf pairs."""
+    ran = pair.range_leaves
+    return pair_from_ordered(pair.tg, cancel_carets(
+        pair.tg, zip(pair.domain_leaves, [ran[j] for j in pair.perm])))
 
 
-def reduce_map(tg: TypeGraph, kappa: dict) -> TreePair:
-    """The reduced pair of a valid leaf map; ``kappa`` is contracted in place.
+def reduce_map(tg: TypeGraph, kappa: Mapping[Address, Address]) -> TreePair:
+    """The reduced pair of a leaf map in any order: its items are sorted
+    once and go through ``cancel_carets``."""
+    return pair_from_ordered(tg, cancel_carets(tg, sorted(kappa.items())))
 
-    Vertex types come from a table filled in as the moves reach vertices,
-    each from its parent's type.
+
+def cancel_carets(tg: TypeGraph, pairs: Iterable[tuple]) -> list:
+    """The normal form of a leaf map, given and returned as its pairs
+    ``(u, w)`` in depth-first order of u.
+
+    One pass pushes the pairs on a stack.  Move (b): a pair whose ball is a
+    single point is first lifted on both sides past arity-1 parents.  Move
+    (a): a pair ``p + (a-1,) -> q + (a-1,)``, with p and q of arity a and
+    ``p + (i,) -> q + (i,)`` on top of the stack, replaces them by ``p -> q``,
+    while this applies.  Why that is the normal form: docs/dynamics_notes.md,
+    section 6.  Vertex types come from a table, each from its parent's.
     """
     children = tg.children
+    singletons = tg._singleton_types  # mostly empty: then u is not typed
     types = {(): tg.root_type}
 
     def type_of(v: Address) -> str:
-        t = types.get(v)
-        if t is not None:
-            return t
-        k = len(v) - 1  # the depth of the deepest typed ancestor
+        k = len(v)  # the depth of the deepest typed ancestor
         while v[:k] not in types:
             k -= 1
         t = types[v[:k]]
         for j in range(k, len(v)):
-            t = children[t][v[j]]
-            types[v[:j + 1]] = t
+            if not 0 <= v[j] < len(children[t]):
+                raise ValueError(f"index {v[j]} out of range at "
+                                 f"{address_str(v[:j])!r}")
+            t = types[v[:j + 1]] = children[t][v[j]]
         return t
 
-    def arity_of(v: Address) -> int:
-        return len(children[type_of(v)])
-
-    def try_contract(p: Address):
-        a = arity_of(p)
-        kids = [p + (i,) for i in range(a)]
-        if any(c not in kappa for c in kids):
-            return None
-        w0 = kappa[kids[0]]
-        if not w0 or w0[-1] != 0:
-            return None
-        w = w0[:-1]
-        if arity_of(w) != a:
-            return None
-        for i in range(1, a):
-            if kappa[kids[i]] != w + (i,):
-                return None
-        return w
-
-    changed = True
-    while changed:
-        changed = False
-        # caret contractions, deepest candidates first, cascading upward
-        stack = sorted({u[:-1] for u in kappa if u})
-        while stack:
-            p = stack.pop()
-            w = try_contract(p)
-            if w is None:
-                continue
-            for i in range(arity_of(p)):
-                del kappa[p + (i,)]
-            kappa[p] = w
-            changed = True
-            if p:
-                stack.append(p[:-1])
-        # singleton ray lifts
-        for u in sorted(kappa):
-            if not tg.is_singleton_type(type_of(u)):
-                continue
-            w = kappa[u]
-            lifted = False
-            while w and arity_of(w[:-1]) == 1:
+    out: list = []
+    for u, w in pairs:
+        if singletons and type_of(u) in singletons:
+            while u and len(children[type_of(u[:-1])]) == 1:
+                u = u[:-1]
+            while w and len(children[type_of(w[:-1])]) == 1:
                 w = w[:-1]
-                lifted = True
-            u2 = u
-            while u2 and arity_of(u2[:-1]) == 1:
-                u2 = u2[:-1]
-                lifted = True
-            if lifted:
-                del kappa[u]
-                kappa[u2] = w
-                changed = True
-    return TreePair.from_map(tg, kappa)
+        while u and w and u[-1] == w[-1]:
+            p, q = u[:-1], w[:-1]
+            a = len(children[type_of(p)])
+            n = len(out) - a + 1  # where the siblings' entries start
+            if (u[-1] != a - 1 or n < 0 or len(children[type_of(q)]) != a
+                    or out[n:] != [(p + (i,), q + (i,)) for i in range(a - 1)]):
+                break
+            del out[n:]
+            u, w = p, q
+        out.append((u, w))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +420,11 @@ class Element:
 
     def ratio(self, u: Address) -> Fraction:
         """Homothety ratio on the domain leaf ball at u."""
-        w = self.leaf_map()[u]
-        d = len(u) - len(w)
+        p = self.pair
+        i = bisect_left(p.domain_leaves, u)
+        if p.domain_leaves[i:i + 1] != (u,):
+            raise KeyError(u)
+        d = len(u) - len(p.range_leaves[p.perm[i]])
         return Fraction(2 ** d) if d >= 0 else Fraction(1, 2 ** (-d))
 
     # group structure -------------------------------------------------------
@@ -519,7 +513,7 @@ def make_element(pair: TreePair) -> Element:
 
 
 def element_from_map(tg: TypeGraph, mapping: Mapping[Address, Address]) -> Element:
-    return make_element(TreePair.from_map(tg, mapping))
+    return Element(reduce_map(tg, mapping))
 
 
 def parse_element(tg: TypeGraph, text: str) -> Element:
@@ -533,11 +527,12 @@ def format_element(e: Element) -> str:
 def graft(pair: TreePair, sub_at: Callable) -> TreePair:
     """The same map on finer trees: below each leaf pair u -> w the shape
     ``sub_at(u, w)`` is grafted on both sides (None grafts nothing)."""
-    return TreePair.from_map(pair.tg, graft_map(pair, sub_at))
+    return pair_from_ordered(pair.tg, list(graft_map(pair, sub_at).items()))
 
 
 def graft_map(pair: TreePair, sub_at: Callable) -> dict:
-    """The leaf map of ``graft(pair, sub_at)``, without building its pair."""
+    """The leaf map of ``graft(pair, sub_at)``, without building its pair;
+    its keys come in depth-first order."""
     kappa = {}
     for u, pi in zip(pair.domain_leaves, pair.perm):
         w = pair.range_leaves[pi]
@@ -567,12 +562,13 @@ def compose(g: Element, h: Element) -> Element:
     """The element g o h (h applied first).
 
     Each leaf pair u -> w of h is followed through g's domain tree, which
-    gives the leaf map of g o h on the common refinement; it is reduced once.
+    gives the leaf pairs of g o h on the common refinement in depth-first
+    order; they are reduced in one pass.
     """
     if g.tg != h.tg:
         raise ValueError("elements over different type graphs")
     gp, hp = g.pair, h.pair
-    kappa = {}
+    kappa = []  # the leaf pairs, in depth-first order of the domain leaves
     for u, pi in zip(hp.domain_leaves, hp.perm):
         w = hp.range_leaves[pi]
         node = gp.domain
@@ -583,13 +579,13 @@ def compose(g: Element, h: Element) -> Element:
         if node is None:
             # w lies in the ball of the g-domain leaf w[:n]
             i = bisect_left(gp.domain_leaves, w[:n])
-            kappa[u] = gp.range_leaves[gp.perm[i]] + w[n:]
+            kappa.append((u, gp.range_leaves[gp.perm[i]] + w[n:]))
         else:
             # w is interior to g's domain tree: split u as g's leaves below w
             i = bisect_left(gp.domain_leaves, w)
-            for k, t in enumerate(shape_leaves(node), i):
-                kappa[u + t] = gp.range_leaves[gp.perm[k]]
-    return Element(reduce_map(g.tg, kappa))
+            kappa += ((u + t, gp.range_leaves[gp.perm[k]])
+                      for k, t in enumerate(shape_leaves(node), i))
+    return Element(pair_from_ordered(g.tg, cancel_carets(g.tg, kappa)))
 
 
 def inverse(g: Element) -> Element:
@@ -726,7 +722,7 @@ def random_complete_shape(tg: TypeGraph, carets: int, rng: random.Random):
         cur.sort()
         u, t = cur.pop(rng.randrange(len(cur)))
         cur += ((u + (i,), c) for i, c in enumerate(tg.children[t]))
-    return shape_from_leaves(tg, [u for u, _ in cur], tg.root_type)
+    return ordered_shape(sorted(u for u, _ in cur))
 
 
 def random_element(tg: TypeGraph, size: int, rng_or_seed) -> Element:

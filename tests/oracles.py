@@ -66,29 +66,47 @@ def compose_strmaps(gmap: dict, hmap: dict) -> dict:
     return out
 
 
-def reduce_strmap(m: dict, arity_of) -> dict:
-    """Contract carets mapped child-by-child onto carets of the same arity."""
+def reduce_strmap(m: dict, arity_of, is_singleton=None) -> dict:
+    """Contract carets mapped child-by-child onto carets of the same arity
+    and, where ``is_singleton`` says that a leaf's ball is one point, lift
+    the leaf pair past arity-1 parents on both sides; both moves are
+    repeated until neither applies."""
     m = dict(m)
-    stack = sorted({u[:-1] for u in m if u})
-    while stack:
-        p = stack.pop()
-        a = arity_of(p)
-        vals = [m.get(p + str(i)) for i in range(a)]
-        if any(v is None for v in vals):
-            continue
-        w0 = vals[0]
-        if not w0 or w0[-1] != "0":
-            continue
-        wp = w0[:-1]
-        if arity_of(wp) != a:
-            continue
-        if all(vals[i] == wp + str(i) for i in range(1, a)):
-            for i in range(a):
-                del m[p + str(i)]
-            m[p] = wp
-            if p:
-                stack.append(p[:-1])
-    return m
+    while True:
+        stack = sorted({u[:-1] for u in m if u})
+        while stack:
+            p = stack.pop()
+            a = arity_of(p)
+            vals = [m.get(p + str(i)) for i in range(a)]
+            if any(v is None for v in vals):
+                continue
+            w0 = vals[0]
+            if not w0 or w0[-1] != "0":
+                continue
+            wp = w0[:-1]
+            if arity_of(wp) != a:
+                continue
+            if all(vals[i] == wp + str(i) for i in range(1, a)):
+                for i in range(a):
+                    del m[p + str(i)]
+                m[p] = wp
+                if p:
+                    stack.append(p[:-1])
+        lifted = False
+        for u in sorted(m) if is_singleton else ():
+            if not is_singleton(u):
+                continue
+            up, wp = u, m[u]
+            while up and arity_of(up[:-1]) == 1:
+                up = up[:-1]
+            while wp and arity_of(wp[:-1]) == 1:
+                wp = wp[:-1]
+            if (up, wp) != (u, m[u]):
+                del m[u]
+                m[up] = wp
+                lifted = True
+        if not lifted:
+            return m
 
 
 def strmap_is_identity(m: dict) -> bool:
@@ -137,6 +155,13 @@ def wide_helpers():
     """(arity_of, leaf_to_carets) for the 3-children-at-the-root binary tree."""
     return (lambda p: 3 if p == "" else 2), \
            (lambda leaves: 0 if leaves == 1 else leaves - 2)
+
+
+def ray_helpers():
+    """(arity_of, is_singleton) for the ray tree ``a -> [a, b], b -> [b]``:
+    a vertex has type b, an arity-1 vertex whose ball is one point, exactly
+    when its address has a 1."""
+    return (lambda p: 1 if "1" in p else 2), (lambda p: "1" in p)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from conftest import BINARY_SPEC, RAY_SPEC, WIDE_SPEC, random_point, sample_elem
 from oracles import (
     binary_helpers,
     compose_strmaps,
+    ray_helpers,
     reduce_strmap,
     strmap_is_identity,
     to_strmap,
@@ -85,6 +86,21 @@ def test_shape_union(binary):
     u = shape_union(a, b)
     assert shape_leaves(u) == [(0, 0), (0, 1), (1,)]
     assert shape_union(None, a) == a
+
+
+def test_shape_helpers_on_deep_shapes():
+    # a 60 000-deep spine is past the recursion limit: no helper recurses
+    # (compared by caret counts, since == on such tuples recurses in C)
+    n = 60_000
+    spine, combed = None, None
+    for _ in range(n):
+        spine = (spine, None)
+        combed = (combed, (None, None))
+    assert shape_caret_count(spine) == n
+    assert shape_caret_count(combed) == 2 * n
+    assert shape_caret_count(shape_union(spine, combed)) == 2 * n
+    assert shape_caret_count(shape_union(combed, spine)) == 2 * n
+    assert shape_union(spine, spine) is spine
 
 
 def test_pair_requires_order_isomorphic_types(ray):
@@ -233,12 +249,14 @@ def test_compose_mixed_graphs(binary, wide):
         compose(identity(binary), identity(wide))
 
 
-ORACLE_ARITY = {"binary": binary_helpers()[0], "wide": wide_helpers()[0]}
+# (arity_of, is_singleton) of the string-map oracle, per tree
+ORACLE_TYPES = {"binary": (binary_helpers()[0], None),
+                "wide": (wide_helpers()[0], None), "ray": ray_helpers()}
 
 
 def assert_compose_matches_oracle(tree, g, h):
     want = reduce_strmap(compose_strmaps(to_strmap(g), to_strmap(h)),
-                         ORACLE_ARITY[tree])
+                         *ORACLE_TYPES[tree])
     assert to_strmap(compose(g, h)) == want
 
 
@@ -253,7 +271,7 @@ def oracle_pair(tree, seed):
 
 
 @settings(database=None, derandomize=True, max_examples=150, deadline=None)
-@given(tree=st.sampled_from(sorted(ORACLE_ARITY)), seed=st.integers(0, 2 ** 32))
+@given(tree=st.sampled_from(sorted(ORACLE_TYPES)), seed=st.integers(0, 2 ** 32))
 def test_compose_matches_oracle(tree, seed):
     g, h = oracle_pair(tree, seed)
     assert_compose_matches_oracle(tree, g, h)
@@ -264,7 +282,7 @@ def test_compose_oracle_sample_has_both_walks():
     # both branches of compose's walk occur: a range leaf of h at or below
     # a domain leaf of g, and one strictly above several of them
     seen = set()
-    for tree in sorted(ORACLE_ARITY):
+    for tree in sorted(ORACLE_TYPES):
         for seed in range(40):
             g, h = oracle_pair(tree, seed)
             inner = interior_vertices(g.pair.domain_leaves)
@@ -273,13 +291,37 @@ def test_compose_oracle_sample_has_both_walks():
     assert seen == {True, False}
 
 
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_ray_reduction_matches_oracle(seed):
+    # reduced pairs are lifted, so products never lift; a refinement that
+    # pushes singleton leaves down their rays on one side makes the
+    # reduction lift them, in between caret contractions
+    tg = TREES["ray"]
+    rng = random.Random(seed)
+    g = random_element(tg, rng.randint(0, 7), rng)
+    kappa = {}
+    for u, w in g.leaf_map().items():
+        if 1 in u:
+            kappa[u + (0,) * rng.randint(0, 2)] = w + (0,) * rng.randint(0, 2)
+        elif rng.random() < 0.7:
+            kappa.update({u + (i,): w + (i,) for i in range(2)})
+        else:
+            kappa[u] = w
+    e = element_from_map(tg, kappa)
+    string_map = {"".join(map(str, u)): "".join(map(str, w))
+                  for u, w in kappa.items()}
+    assert to_strmap(e) == reduce_strmap(string_map, *ORACLE_TYPES["ray"])
+    assert e == g
+
+
 @functools.cache
 def x0_power(tree, n):
     return builtin_generators(TREES[tree])["x0"].power(n)
 
 
 @settings(database=None, derandomize=True, max_examples=60, deadline=None)
-@given(tree=st.sampled_from(sorted(ORACLE_ARITY)), n=st.integers(1, 40),
+@given(tree=st.sampled_from(["binary", "wide"]), n=st.integers(1, 40),
        m=st.integers(1, 40), seed=st.integers(0, 2 ** 32))
 def test_compose_deep_leaves_match_oracle(tree, n, m, seed):
     # x0^n has leaves at depth n + 1: images of deep leaves keep long tails
@@ -298,7 +340,7 @@ def test_compose_builds_one_pair(monkeypatch, binary, wide):
         pairs += list(zip(four[:3], four[1:4]))
     counts = {"pair": 0, "shape": 0}
     init = element_module.TreePair.__init__
-    build = element_module.shape_from_leaves
+    build = element_module.ordered_shape
 
     def counting_init(self, *args):
         counts["pair"] += 1
@@ -309,7 +351,7 @@ def test_compose_builds_one_pair(monkeypatch, binary, wide):
         return build(*args)
 
     monkeypatch.setattr(element_module.TreePair, "__init__", counting_init)
-    monkeypatch.setattr(element_module, "shape_from_leaves", counting_build)
+    monkeypatch.setattr(element_module, "ordered_shape", counting_build)
     assert len(pairs) == 6
     for g, h in pairs:
         counts.update(pair=0, shape=0)
@@ -337,6 +379,15 @@ def test_apply_point_pinned(binary, x0, sigma):
     # the ball swap transports the tail verbatim: sigma(0^inf) = 10^inf
     assert sigma.apply_point(zero) == pt(binary, (1,), (0,))
     assert sigma.apply_point(one) == pt(binary, (0,), (1,))
+
+
+def test_ratio_pinned(x0):
+    assert x0.ratio((0, 0)) == 2
+    assert x0.ratio((0, 1)) == 1
+    assert x0.ratio((1,)) == Fraction(1, 2)
+    for u in ((), (0,), (0, 0, 1), (1, 0), (2,)):
+        with pytest.raises(KeyError):
+            x0.ratio(u)
 
 
 def test_apply_clopen_pinned(binary, x0):

@@ -7,9 +7,12 @@
 - Only ``treespace.py`` reaches ``_node_merge``, so every clopen set made of
   many pieces is built in one pass by ``_node_build``.
 - The tree-pair builders of ``element.py`` (``shape_from_leaves``,
+  ``ordered_shape``, ``pair_from_ordered``, ``cancel_carets``,
   ``TreePair.__init__``, ``reduce_map``, ``Element.inverse``) call neither
   ``type_at`` nor ``interior_vertices``: they carry types down from parents,
   and a walk from the root per vertex would make a build superlinear.
+- No function in ``element.py`` calls itself: its trees grow as deep as
+  the exponents of the powers taken, so it uses explicit stacks.
 - The names ``vtrees/__init__.py`` exports are pinned: they are the public
   API, and README names every public name that is removed.
 """
@@ -92,7 +95,8 @@ def test_only_treespace_merges_tries():
 
 
 ROOT_WALKS = ("type_at", "interior_vertices")
-PAIR_BUILDERS = ("shape_from_leaves", "TreePair.__init__", "reduce_map",
+PAIR_BUILDERS = ("shape_from_leaves", "ordered_shape", "pair_from_ordered",
+                 "cancel_carets", "TreePair.__init__", "reduce_map",
                  "Element.inverse")
 
 
@@ -133,6 +137,44 @@ def test_pair_builders_walk_no_root_paths():
     source = (SRC / "element.py").read_text(encoding="utf-8")
     assert root_walk_calls(source, PAIR_BUILDERS) == {
         name: [] for name in PAIR_BUILDERS}
+
+
+def self_calls(source: str) -> list:
+    """The functions, nested ones and methods included, that call themselves
+    by name (``f(...)``, or ``self.f(...)``/``cls.f(...)`` in a method)."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for n in ast.walk(fn):
+            f = getattr(n, "func", None)
+            if isinstance(n, ast.Call) and (
+                    getattr(f, "id", None) == fn.name
+                    or (isinstance(f, ast.Attribute) and f.attr == fn.name
+                        and getattr(f.value, "id", None) in ("self", "cls"))):
+                found.append(fn.name)
+                break
+    return sorted(found)
+
+
+def test_self_calls_are_detected():
+    assert self_calls(
+        "def f(n):\n"
+        "    return f(n - 1) if n else 0\n"
+        "def g(x):\n"
+        "    def h(y):\n"
+        "        return h(y)\n"
+        "    return x.g()\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return self.m()\n"
+        "    def k(self):\n"
+        "        return self.pair.k()\n") == ["f", "h", "m"]
+
+
+def test_element_functions_do_not_recurse():
+    source = (SRC / "element.py").read_text(encoding="utf-8")
+    assert self_calls(source) == []
 
 
 EXPORTS = {

@@ -184,7 +184,7 @@ def test_products_powers_and_inverses_walk_no_root_paths(monkeypatch):
     counts = {"type_at": 0, "pair": 0, "shape": 0}
     type_at = TypeGraph.type_at
     init = TreePair.__init__
-    build = element_module.shape_from_leaves
+    build = element_module.ordered_shape
 
     def counting(key, fn):
         def wrapper(*args):
@@ -194,7 +194,7 @@ def test_products_powers_and_inverses_walk_no_root_paths(monkeypatch):
 
     monkeypatch.setattr(TypeGraph, "type_at", counting("type_at", type_at))
     monkeypatch.setattr(TreePair, "__init__", counting("pair", init))
-    monkeypatch.setattr(element_module, "shape_from_leaves",
+    monkeypatch.setattr(element_module, "ordered_shape",
                         counting("shape", build))
     for n in (7, 40, -40):
         x0.power(n)
