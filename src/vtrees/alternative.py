@@ -139,6 +139,18 @@ def proximal_contraction(hs: Sequence[Element], eps: Fraction,
     checked exactly and recorded, and the telescoped product then lands in
     B^eps because the stable parts have empty intersection.
     """
+    return _contraction(hs, eps, words, reports, {})
+
+
+def _contraction(hs: Sequence[Element], eps: Fraction,
+                 words: Sequence[Word] | None,
+                 reports: Sequence[DynamicsReport] | None,
+                 powers: dict) -> ProximalContraction:
+    """``proximal_contraction`` with a memo of the contributors' powers:
+    ``powers[h, p]`` is h^p for h's isometric power m and a multiple p of
+    m, built once as (h^m)^(p/m).  One ping-pong construction hands the
+    same memo to both of its contractions (docs/dynamics_notes.md, section
+    5: the memo changes no element, word or stage)."""
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one element")
@@ -163,6 +175,14 @@ def proximal_contraction(hs: Sequence[Element], eps: Fraction,
     target = epsilon_neighborhood(tg, b_points, eps)
     start = target.complement()
 
+    def factor(h, m: int, t: int) -> Element:
+        """h^(m*t), from the memo or as (h^m)^t."""
+        if (h, m) not in powers:
+            powers[h, m] = h.power(m)
+        if (h, m * t) not in powers:
+            powers[h, m * t] = powers[h, m].power(t)
+        return powers[h, m * t]
+
     minimums = [1] * len(hs)
     for _round in range(_ROUND_CAP):
         cur = start
@@ -171,7 +191,7 @@ def proximal_contraction(hs: Sequence[Element], eps: Fraction,
         failed_at = None
         for i, (h, rep) in enumerate(zip(hs, reports)):
             m = rep.isometric_power
-            hm = h.power(m)
+            hm = factor(h, m, 1)
             pts = rep.attracting_periodic + rep.repelling_periodic
             allowed = cur.intersect(rep.stable).union(
                 epsilon_neighborhood(tg, pts, eps))
@@ -189,15 +209,15 @@ def proximal_contraction(hs: Sequence[Element], eps: Fraction,
                 word=(words[i] if words is not None else None),
                 isometric_power=m, multiplier=t,
                 before=cur, after=image, allowed=allowed))
-            factors.append((h, m * t, i))
+            factors.append((h, m, t, i))
             cur = image
         if failed_at is None:
             element = identity(tg)
             word: Word | None = () if words is not None else None
-            for h, p, i in factors:
-                element = compose(h.power(p), element)
+            for h, m, t, i in factors:
+                element = compose(factor(h, m, t), element)
                 if words is not None:
-                    word = tuple(words[i]) * p + word
+                    word = tuple(words[i]) * (m * t) + word
             if not element.apply_clopen(start).subset_of(target):
                 raise AssertionError("contraction element failed its final check")
             return ProximalContraction(element, word, tuple(b_points), eps,
@@ -402,7 +422,8 @@ def _pingpong(run: _Run):
     m1 = _radius_exponent(b_points, uinv.apply_clopen(u1), m)
     if m1 is None or m1 > depth:
         return None, {"step": "delta1", "exponent": m1, "cap": depth}
-    c1 = proximal_contraction(hs, Fraction(1, 2 ** m1), words=hw, reports=hr)
+    powers: dict = {}  # the contributors' powers, shared by c1 and c2
+    c1 = _contraction(hs, Fraction(1, 2 ** m1), hw, hr, powers)
     g1 = compose(c1.element, uinv)
     g1_word = c1.word + word_inverse(u_word)
 
@@ -413,7 +434,7 @@ def _pingpong(run: _Run):
     m2 = _radius_exponent(b_points, pull2, m)
     if m2 is None or m2 > depth:
         return None, {"step": "delta2", "exponent": m2, "cap": depth}
-    c2 = proximal_contraction(hs, Fraction(1, 2 ** m2), words=hw, reports=hr)
+    c2 = _contraction(hs, Fraction(1, 2 ** m2), hw, hr, powers)
     g2 = compose(w, compose(c2.element, wuinv))
     g2_word = w_word + c2.word + word_inverse(w_word + u_word)
 

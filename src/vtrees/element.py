@@ -63,7 +63,9 @@ def shape_leaves(shape) -> list:
 
 def typed_leaves(tg: TypeGraph, shape) -> tuple:
     """The leaves of a shape at the root, in depth-first order, and their
-    types, carried down one walk from the root type."""
+    types, carried down one walk from the root type: the walk for shapes
+    from outside the library.  Raises ValueError on a vertex whose child
+    count is not its type's arity."""
     leaves: list = []
     types: list = []
     children = tg.children
@@ -142,31 +144,61 @@ def shape_from_leaves(tg: TypeGraph, leaves: Iterable[Address], root_type: str):
     if missing is not None:
         raise ValueError(f"missing branch {address_str(missing)!r}: "
                          "leaves do not cover the boundary")
-    return ordered_shape(leaves)
+    return ordered_tree(tg, leaves, root_type)[0]
 
 
-def ordered_shape(leaves: Sequence[Address]):
-    """The shape whose depth-first leaf list is ``leaves``, if there is one;
-    callers check that by comparing the shape's leaves with their list.
-    The leaf after ``l`` is ``l[:n] + (l[n] + 1, 0, ..., 0)``: its last
-    nonzero index says how many vertices above ``l`` stay open."""
-    if leaves == [()]:
-        return None
-    kids: list = [[]]  # the closed children of each open vertex, root first
+def ordered_tree(tg: TypeGraph, leaves: Sequence[Address], root_type: str) -> tuple:
+    """The shape below a vertex of ``root_type`` whose depth-first leaf list
+    is ``leaves``, and the types of those leaves, from one walk.
+
+    Raises ValueError unless there is such a complete tree: the first leaf
+    is ``(0, ..., 0)``, each next leaf is ``prev[:n] + (prev[n] + 1, 0, ...,
+    0)`` where every vertex below ``prev[:n]`` on prev's path is closed by
+    its last child, and the last leaf closes the root (docs/dynamics_notes.md,
+    section 6).  The last nonzero index of a leaf gives its n.
+    """
+    if len(leaves) == 1 and not leaves[0]:
+        return None, (root_type,)
+    children = tg.children
+    stack = [(root_type, [])]  # the open vertices on prev's path: type, closed children
+    types: list = []
+    prev = ()
     for a in leaves:
-        n = max(len(a) - 1, 0)
+        n = len(a) - 1
+        if n < 0:
+            raise ValueError(_NOT_A_TREE)
         while n and not a[n]:
             n -= 1
-        while len(kids) > n + 1:
-            node = tuple(kids.pop())
-            kids[-1].append(node)
-        while len(kids) < len(a):
-            kids.append([])
-        kids[-1].append(None)
-    while len(kids) > 1:
-        node = tuple(kids.pop())
-        kids[-1].append(node)
-    return tuple(kids[0])
+        while len(stack) > n + 1:  # close the vertices below prev[:n]
+            t, kids = stack.pop()
+            if len(kids) != len(children[t]):
+                raise ValueError(_NOT_A_TREE)
+            stack[-1][1].append(tuple(kids))
+        t, kids = stack[-1]
+        cs = children[t]
+        if (len(stack) != n + 1 or a[n] != len(kids) or a[n] >= len(cs)
+                or a[:n] != prev[:n]):
+            raise ValueError(_NOT_A_TREE)
+        t = cs[a[n]]
+        for _ in range(n + 1, len(a)):  # open a's vertices down its zeros
+            kids = []
+            stack.append((t, kids))
+            t = children[t][0]
+        kids.append(None)
+        types.append(t)
+        prev = a
+    while len(stack) > 1:
+        t, kids = stack.pop()
+        if len(kids) != len(children[t]):
+            raise ValueError(_NOT_A_TREE)
+        stack[-1][1].append(tuple(kids))
+    t, kids = stack[0]
+    if len(kids) != len(children[t]):  # also when there are no leaves
+        raise ValueError(_NOT_A_TREE)
+    return tuple(kids), tuple(types)
+
+
+_NOT_A_TREE = "the leaves are not the depth-first leaf list of a complete tree"
 
 
 _CLOSE = object()  # a stack marker: close the last n subshapes into one
@@ -214,23 +246,33 @@ class TreePair:
                  "range_leaves", "domain_types", "range_types", "_hash")
 
     def __init__(self, tg: TypeGraph, domain, range_, perm: Sequence[int]):
+        """The pair of two shapes from outside the library: their leaves
+        and types come from one walk of each shape, which checks arities."""
+        self._set(tg, domain, range_, tuple(perm),
+                  *typed_leaves(tg, domain), *typed_leaves(tg, range_))
+
+    def _set(self, tg, domain, range_, perm: tuple, domain_leaves: tuple,
+             domain_types: tuple, range_leaves: tuple, range_types: tuple):
+        """Keep the given fields and check them: equal leaf counts, a
+        bijective perm and order-isomorphic paired types.  Each caller has
+        walked the leaves and their types out of the shapes itself."""
         self.tg = tg
         self.domain = domain
         self.range = range_
-        self.perm = tuple(perm)
-        self.domain_leaves, self.domain_types = typed_leaves(tg, domain)
-        self.range_leaves, self.range_types = typed_leaves(tg, range_)
-        if len(self.domain_leaves) != len(self.range_leaves):
+        self.perm = perm
+        self.domain_leaves, self.domain_types = domain_leaves, domain_types
+        self.range_leaves, self.range_types = range_leaves, range_types
+        if len(domain_leaves) != len(range_leaves):
             raise ValueError("domain and range trees have different leaf counts")
-        if sorted(self.perm) != list(range(len(self.domain_leaves))):
+        if sorted(perm) != list(range(len(domain_leaves))):
             raise ValueError("perm is not a bijection of leaf indices")
-        for u, t, pi in zip(self.domain_leaves, self.domain_types, self.perm):
-            if not tg.subtree_order_isomorphic(t, self.range_types[pi]):
+        for u, t, pi in zip(domain_leaves, domain_types, perm):
+            if not tg.subtree_order_isomorphic(t, range_types[pi]):
                 raise ValueError(
                     f"leaf {address_str(u)!r} (type {t!r}) cannot be paired with "
-                    f"{address_str(self.range_leaves[pi])!r} (type "
-                    f"{self.range_types[pi]!r}): subtrees are not order-isomorphic")
-        self._hash = hash((tg, self.domain, self.range, self.perm))
+                    f"{address_str(range_leaves[pi])!r} (type "
+                    f"{range_types[pi]!r}): subtrees are not order-isomorphic")
+        self._hash = hash((tg, domain, range_, perm))
 
     @staticmethod
     def from_map(tg: TypeGraph, mapping: Mapping[Address, Address]) -> "TreePair":
@@ -301,16 +343,17 @@ def parse_pair(tg: TypeGraph, text: str) -> TreePair:
 
 def pair_from_ordered(tg: TypeGraph, pairs: Sequence[tuple]) -> TreePair:
     """The tree pair of the leaf pairs ``(u, w)``, listed in depth-first
-    order of u.  Raises ValueError unless ``TreePair`` walks the given leaves
-    out of the two shapes: none missing, repeated or above another."""
-    dom = [u for u, _ in pairs]
-    ran = sorted([w for _, w in pairs])
+    order of u: one ``ordered_tree`` walk of each side, which raises
+    ValueError unless the leaves are those of two complete trees (none
+    missing, repeated or above another)."""
+    dom = tuple([u for u, _ in pairs])
+    ran = tuple(sorted([w for _, w in pairs]))
     index = {w: i for i, w in enumerate(ran)}
-    pair = TreePair(tg, ordered_shape(dom), ordered_shape(ran),
-                    [index[w] for _, w in pairs])
-    if pair.domain_leaves != tuple(dom) or pair.range_leaves != tuple(ran):
-        raise ValueError("the leaf pairs are not the leaves of two complete "
-                         "trees, the domain leaves in depth-first order")
+    domain, domain_types = ordered_tree(tg, dom, tg.root_type)
+    range_, range_types = ordered_tree(tg, ran, tg.root_type)
+    pair = TreePair.__new__(TreePair)
+    pair._set(tg, domain, range_, tuple([index[w] for _, w in pairs]),
+              dom, domain_types, ran, range_types)
     return pair
 
 
@@ -439,7 +482,10 @@ class Element:
         perm = [0] * len(p.perm)
         for i, j in enumerate(p.perm):
             perm[j] = i
-        return Element(TreePair(p.tg, p.range, p.domain, perm))
+        inv = TreePair.__new__(TreePair)
+        inv._set(p.tg, p.range, p.domain, tuple(perm), p.range_leaves,
+                 p.range_types, p.domain_leaves, p.domain_types)
+        return Element(inv)
 
     __invert__ = inverse
 
@@ -504,7 +550,7 @@ def _trie_at(node, address: Address):
 
 
 def identity(tg: TypeGraph) -> Element:
-    return Element(TreePair(tg, None, None, (0,)))
+    return Element(pair_from_ordered(tg, [((), ())]))
 
 
 def make_element(pair: TreePair) -> Element:
@@ -561,12 +607,17 @@ def expand_pair(pair: TreePair, u: Address) -> TreePair:
 def compose(g: Element, h: Element) -> Element:
     """The element g o h (h applied first).
 
-    Each leaf pair u -> w of h is followed through g's domain tree, which
-    gives the leaf pairs of g o h on the common refinement in depth-first
-    order; they are reduced in one pass.
+    An identity factor gives the other factor, with no pair built.
+    Otherwise each leaf pair u -> w of h is followed through g's domain
+    tree, which gives the leaf pairs of g o h on the common refinement in
+    depth-first order; they are reduced in one pass.
     """
     if g.tg != h.tg:
         raise ValueError("elements over different type graphs")
+    if g.is_identity():
+        return h
+    if h.is_identity():
+        return g
     gp, hp = g.pair, h.pair
     kappa = []  # the leaf pairs, in depth-first order of the domain leaves
     for u, pi in zip(hp.domain_leaves, hp.perm):
@@ -715,14 +766,22 @@ def builtin_generators(tg: TypeGraph) -> GeneratorFamily:
 # Random elements (test corpus generation)
 
 
-def random_complete_shape(tg: TypeGraph, carets: int, rng: random.Random):
-    """A random complete subtree grown by ``carets`` uniform leaf expansions."""
-    cur = [((), tg.root_type)]  # (leaf, type), sorted by leaf when drawn
+def _random_leaves(tg: TypeGraph, carets: int, rng: random.Random) -> list:
+    """The (leaf, type) pairs, in depth-first order, of a random complete
+    subtree grown by ``carets`` uniform leaf expansions."""
+    cur = [((), tg.root_type)]  # sorted by leaf when drawn
     for _ in range(carets):
         cur.sort()
         u, t = cur.pop(rng.randrange(len(cur)))
         cur += ((u + (i,), c) for i, c in enumerate(tg.children[t]))
-    return ordered_shape(sorted(u for u, _ in cur))
+    cur.sort()
+    return cur
+
+
+def random_complete_shape(tg: TypeGraph, carets: int, rng: random.Random):
+    """A random complete subtree grown by ``carets`` uniform leaf expansions."""
+    leaves = [u for u, _ in _random_leaves(tg, carets, rng)]
+    return ordered_tree(tg, leaves, tg.root_type)[0]
 
 
 def random_element(tg: TypeGraph, size: int, rng_or_seed) -> Element:
@@ -737,13 +796,13 @@ def random_element(tg: TypeGraph, size: int, rng_or_seed) -> Element:
         raise ValueError("size must be >= 0")
     for _attempt in range(200):
         c = rng.randint(0, size)
-        dom_shape = random_complete_shape(tg, c, rng)
-        ran_shape = random_complete_shape(tg, c, rng)
+        dom = _random_leaves(tg, c, rng)
+        ran = _random_leaves(tg, c, rng)
         by_color_d: dict = {}
         by_color_r: dict = {}
-        for u, t in zip(*typed_leaves(tg, dom_shape)):
+        for u, t in dom:
             by_color_d.setdefault(tg._ordered_color[t], []).append(u)
-        for w, t in zip(*typed_leaves(tg, ran_shape)):
+        for w, t in ran:
             by_color_r.setdefault(tg._ordered_color[t], []).append(w)
         if {c_: len(v) for c_, v in by_color_d.items()} != \
            {c_: len(v) for c_, v in by_color_r.items()}:

@@ -126,6 +126,7 @@ class GeneratingSet:
         self.elements = tuple(elements)
         self.names = tuple(names)
         self._letters = None
+        self._table = None  # letter -> element, built with the letters
 
     @staticmethod
     def from_named(named: Mapping[str, Element]) -> "GeneratingSet":
@@ -140,10 +141,12 @@ class GeneratingSet:
             self._letters = tuple(
                 item for name, e in zip(self.names, self.elements)
                 for item in (((name, 1), e), ((name, -1), e.inverse())))
+            self._table = dict(self._letters)
         return self._letters
 
     def evaluate(self, word: Word) -> Element:
-        table = dict(self.letters())
+        self.letters()
+        table = self._table
         out = identity(self.tg)
         for name, sign in reversed(word):
             g = table.get((name, 1 if sign > 0 else -1))

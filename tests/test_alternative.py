@@ -6,6 +6,7 @@ import pytest
 from vtrees import (
     Budgets,
     ClopenSet,
+    Element,
     GeneratingSet,
     PingPongWitness,
     TypeGraph,
@@ -92,21 +93,94 @@ def test_proximal_rejects_nonempty_intersection(sigma):
         proximal_contraction([sigma], Fraction(1, 4))
 
 
+def assert_transcript(pc, hs, words=None):
+    """The contraction against a reference that builds every factor as
+    h.power(m * t) directly: the chain of stage images, the element and the
+    word."""
+    assert len(pc.stages) == len(hs)
+    cur = pc.start
+    element = identity(hs[0].tg)
+    word = ()
+    for i, (st, h) in enumerate(zip(pc.stages, hs)):
+        assert st.before == cur
+        assert st.word == (words[i] if words is not None else None)
+        factor = h.power(st.isometric_power * st.multiplier)
+        cur = factor.apply_clopen(cur)
+        assert cur == st.after
+        assert st.after.subset_of(st.allowed)
+        element = compose(factor, element)
+        if words is not None:
+            word = tuple(words[i]) * (st.isometric_power * st.multiplier) + word
+    assert pc.element == element
+    assert pc.word == (word if words is not None else None)
+    assert cur == pc.element.apply_clopen(pc.start)
+    assert pc.element.apply_clopen(pc.start).subset_of(pc.target)
+
+
 def test_proximal_stage_invariant(binary, x0, sigma):
     # with two elements: conjugate of x0 plus x0 — stable parts intersect
     # emptily and the per-stage inclusions telescope into the target
     y = compose(sigma, compose(x0, sigma))  # x0 transported by the ball swap
     pc = proximal_contraction([x0, y], Fraction(1, 8))
-    assert pc.element.apply_clopen(pc.start).subset_of(pc.target)
-    for st in pc.stages:
-        assert st.after.subset_of(st.allowed)
-    # transcript composes to the element: recompute the chain of images
-    cur = pc.start
-    for st, h in zip(pc.stages, [x0, y]):
-        assert st.before == cur
-        cur = h.power(st.isometric_power * st.multiplier).apply_clopen(cur)
-        assert cur == st.after
-    assert cur == pc.element.apply_clopen(pc.start)
+    assert_transcript(pc, [x0, y])
+    words = [(("x0", 1),), (("sigma", 1), ("x0", 1), ("sigma", 1))]
+    assert_transcript(proximal_contraction([x0, y], Fraction(1, 8), words),
+                      [x0, y], words)
+
+
+def wide_pingpong_case():
+    """A wide-tree sweep case whose construction has three contributors,
+    two of isometric power 2, and contractions with the same stages."""
+    from test_pingpong_sweep import SWEEP_BUDGETS, sweep_cases
+    return sweep_cases()[17][0], SWEEP_BUDGETS
+
+
+def contractions_of_one_construction(monkeypatch, s, budgets):
+    """The arguments and results of the contractions of one
+    ``build_pingpong``, and the (element, exponent) of every
+    ``Element.power`` call made during it."""
+    import vtrees.alternative as alternative
+    calls, powers = [], []
+    contraction = alternative._contraction
+    power = Element.power
+
+    def recording_contraction(hs, eps, words, reports, memo):
+        pc = contraction(hs, eps, words, reports, memo)
+        calls.append((list(hs), eps, words, reports, pc))
+        return pc
+
+    def recording_power(self, n):
+        powers.append((self, n))
+        return power(self, n)
+
+    monkeypatch.setattr(alternative, "_contraction", recording_contraction)
+    monkeypatch.setattr(Element, "power", recording_power)
+    w = build_pingpong(s, budgets)
+    monkeypatch.undo()
+    assert w is not None
+    return calls, powers
+
+
+@pytest.mark.parametrize("case", ["V", "wide"])
+def test_pingpong_contractions_share_powers(monkeypatch, v_gens, case):
+    s, budgets = ((v_gens, Budgets()) if case == "V"
+                  else wide_pingpong_case())
+    calls, powers = contractions_of_one_construction(monkeypatch, s, budgets)
+    assert len(calls) == 2  # c1 and c2
+    hs, _, _, reports, _ = calls[0]
+    assert all(c[0] == hs and c[3] == reports for c in calls)
+    for h, rep in zip(hs, reports):
+        # h^m is built once for both contractions
+        assert powers.count((h, rep.isometric_power)) <= 1
+    # and so is every factor (h^m)^t
+    assert len(set(powers)) == len(powers)
+    if case == "wide":
+        assert len(hs) == 3
+        assert sorted(rep.isometric_power for rep in reports) == [1, 2, 2]
+    for hs, eps, words, reports, pc in calls:
+        # each equals the reference, and a contraction with its own memo
+        assert_transcript(pc, hs, words)
+        assert pc == proximal_contraction(hs, eps, words, reports)
 
 
 def test_proximal_deeper_radius_needs_higher_power(x0):

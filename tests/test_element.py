@@ -244,9 +244,23 @@ def test_compose_pinned(binary, x0, sigma):
     assert via_compose == via_steps == pt(binary, (1, 0), (1,))
 
 
-def test_compose_mixed_graphs(binary, wide):
+def test_compose_mixed_graphs(binary, wide, x0):
     with pytest.raises(ValueError):
         compose(identity(binary), identity(wide))
+    # an identity factor over another tree is still refused
+    with pytest.raises(ValueError):
+        compose(x0, identity(wide))
+    with pytest.raises(ValueError):
+        compose(identity(wide), x0)
+
+
+def test_compose_with_identity_is_the_other_factor(binary, wide):
+    for tg in (binary, wide):
+        e = identity(tg)
+        assert compose(e, e).is_identity()
+        for g in sample_elements(tg, 10, 5, seed_base=300):
+            assert compose(g, e) == g
+            assert compose(e, g) == g
 
 
 # (arity_of, is_singleton) of the string-map oracle, per tree
@@ -339,24 +353,29 @@ def test_compose_builds_one_pair(monkeypatch, binary, wide):
                 if shape_caret_count(e.pair.domain) == 4]
         pairs += list(zip(four[:3], four[1:4]))
     counts = {"pair": 0, "shape": 0}
-    init = element_module.TreePair.__init__
-    build = element_module.ordered_shape
+    fill = element_module.TreePair._set
+    build = element_module.ordered_tree
 
-    def counting_init(self, *args):
+    def counting_fill(self, *args):
         counts["pair"] += 1
-        init(self, *args)
+        fill(self, *args)
 
     def counting_build(*args):
         counts["shape"] += 1
         return build(*args)
 
-    monkeypatch.setattr(element_module.TreePair, "__init__", counting_init)
-    monkeypatch.setattr(element_module, "ordered_shape", counting_build)
+    monkeypatch.setattr(element_module.TreePair, "_set", counting_fill)
+    monkeypatch.setattr(element_module, "ordered_tree", counting_build)
     assert len(pairs) == 6
     for g, h in pairs:
         counts.update(pair=0, shape=0)
         compose(g, h)
         assert counts == {"pair": 1, "shape": 2}
+        # a product with an identity factor builds no pair
+        e = identity(g.tg)
+        counts.update(pair=0, shape=0)
+        assert compose(g, e) is g and compose(e, h) is h
+        assert counts == {"pair": 0, "shape": 0}
 
 
 def test_inverse_pinned(x0, binary):
@@ -437,6 +456,13 @@ def test_apply_point_apply_clopen_agree(binary, wide):
 
 def test_power(binary, x0):
     assert x0.power(0).is_identity()
+    assert x0.power(1) == x0
+    assert x0.power(-1) == x0.inverse()
+    inv = x0.power(-1).pair
+    assert inv.domain_leaves == ((0,), (1, 0), (1, 1))
+    assert inv.range_leaves == ((0, 0), (0, 1), (1,))
+    assert inv.perm == (0, 1, 2)
+    assert identity(binary).power(5).is_identity()
     assert x0.power(3) == compose(x0, compose(x0, x0))
     assert x0.power(-2) == compose(x0.inverse(), x0.inverse())
 

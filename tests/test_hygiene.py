@@ -7,10 +7,11 @@
 - Only ``treespace.py`` reaches ``_node_merge``, so every clopen set made of
   many pieces is built in one pass by ``_node_build``.
 - The tree-pair builders of ``element.py`` (``shape_from_leaves``,
-  ``ordered_shape``, ``pair_from_ordered``, ``cancel_carets``,
-  ``TreePair.__init__``, ``reduce_map``, ``Element.inverse``) call neither
-  ``type_at`` nor ``interior_vertices``: they carry types down from parents,
-  and a walk from the root per vertex would make a build superlinear.
+  ``ordered_tree``, ``pair_from_ordered``, ``cancel_carets``,
+  ``TreePair.__init__``, ``TreePair._set``, ``reduce_map``,
+  ``Element.inverse``) call neither ``type_at`` nor ``interior_vertices``:
+  they carry types down from parents, and a walk from the root per vertex
+  would make a build superlinear.
 - No function in ``element.py`` calls itself: its trees grow as deep as
   the exponents of the powers taken, so it uses explicit stacks.
 - The names ``vtrees/__init__.py`` exports are pinned: they are the public
@@ -95,9 +96,9 @@ def test_only_treespace_merges_tries():
 
 
 ROOT_WALKS = ("type_at", "interior_vertices")
-PAIR_BUILDERS = ("shape_from_leaves", "ordered_shape", "pair_from_ordered",
-                 "cancel_carets", "TreePair.__init__", "reduce_map",
-                 "Element.inverse")
+PAIR_BUILDERS = ("shape_from_leaves", "ordered_tree", "pair_from_ordered",
+                 "cancel_carets", "TreePair.__init__", "TreePair._set",
+                 "reduce_map", "Element.inverse")
 
 
 def root_walk_calls(source: str, names) -> dict:

@@ -1,6 +1,7 @@
 """Tree pairs built in linear time: the one-pass shape builder against the
-level-by-level reference in ``oracles.py``, the leaf types carried down one
-walk of each shape, the inverse read off the swapped pair, and the work a
+level-by-level reference in ``oracles.py``, the one walk of an ordered leaf
+list against the validating builder, the leaf types carried down one walk
+of each shape, the inverse read off the swapped pair, and the work a
 product, a power and an inverse do."""
 
 import random
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import vtrees.element as element_module
 from vtrees import TypeGraph, builtin_generators, compose, random_element, reduce
-from vtrees.element import TreePair, graft, graft_map, shape_from_leaves, shape_leaves
+from vtrees.element import (TreePair, graft, graft_map, shape_from_leaves,
+                            shape_leaves, typed_leaves)
 
 from oracles import shape_by_levels
 
@@ -91,6 +93,77 @@ def test_shape_builder_matches_level_reference(tree, seed, carets, defects):
         assert shape_leaves(got) == sorted(set(leaves))
 
 
+@EXAMPLES
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32),
+       carets=st.integers(0, 14),
+       defects=st.sets(st.sampled_from(("range", "drop", "descendant"))),
+       order=st.sampled_from(("sorted", "swap", "repeat", "shuffle")))
+def test_ordered_walk_accepts_exactly_ordered_leaf_lists(tree, seed, carets,
+                                                         defects, order):
+    # the walk accepts a list iff shape_from_leaves accepts its set and the
+    # list is in depth-first order, and then it returns the shape with the
+    # types that typed_leaves walks out of it
+    tg = TREES[tree]
+    rng = random.Random(seed)
+    root = rng.choice(tg.types)
+    leaves = random_leaves(tg, root, carets, rng)
+    for how in ("range", "drop", "descendant"):
+        if how in defects and (how != "drop" or len(leaves) > 1):
+            leaves = corrupt(tg, root, leaves, how, rng)
+    given_order = sorted(leaves)
+    if order == "swap" and len(given_order) > 1:
+        i = rng.randrange(len(given_order) - 1)
+        given_order[i:i + 2] = given_order[i + 1], given_order[i]
+    elif order == "repeat":
+        i = rng.randrange(len(given_order))
+        given_order.insert(i, given_order[i])
+    elif order == "shuffle":
+        rng.shuffle(given_order)
+    in_order = all(a < b for a, b in zip(given_order, given_order[1:]))
+    expected = outcome(lambda: shape_from_leaves(tg, given_order, root))
+    try:
+        got = element_module.ordered_tree(tg, given_order, root)
+    except ValueError as e:
+        assert "depth-first leaf list" in str(e)
+        assert isinstance(expected, str) or not in_order
+        return
+    assert in_order
+    walked, types = typed_leaves(TypeGraph(tg.children, root), expected)
+    assert got == (expected, types) and walked == tuple(given_order)
+
+
+@pytest.mark.parametrize("how", ["drop", "descendant", "range"])
+def test_ordered_walk_rejects_each_defect(how):
+    for tree, tg in sorted(TREES.items()):
+        for seed in range(30):
+            rng = random.Random(seed)
+            root = rng.choice(tg.types)
+            leaves = random_leaves(tg, root, rng.randint(2, 10), rng)
+            if how == "drop" and len(leaves) == 1:
+                continue  # below a ray
+            bad = sorted(set(corrupt(tg, root, leaves, how, rng)))
+            with pytest.raises(ValueError, match="depth-first leaf list"):
+                element_module.ordered_tree(tg, bad, root)
+
+
+def test_ordered_walk_rejects_lists_from_the_wrong_tree():
+    walk = element_module.ordered_tree
+    binary, wide = TREES["binary"], TREES["wide"]
+    assert walk(binary, [()], "b") == (None, ("b",))
+    assert walk(wide, [(0,), (1,), (2,)], "r") == ((None,) * 3, ("b",) * 3)
+    for tg, root, leaves in ((binary, "b", []), (binary, "b", [(), ()]),
+                             (binary, "b", [(), (0,), (1,)]),
+                             (wide, "r", [(0,), (1,)]),
+                             (binary, "b", [(0,), (1,), (2,)]),
+                             (binary, "b", [(0,), (1, 1)]),
+                             (binary, "b", [(0, 0), (1,)]),
+                             (binary, "b", [(0,), (1, 0)]),
+                             (binary, "b", [(0, 0), (1, 1), (1,)]),
+                             (binary, "b", [(0, 0), (0, -1), (1,)])):
+        with pytest.raises(ValueError, match="depth-first leaf list"):
+            walk(tg, leaves, root)
+
+
 @pytest.mark.parametrize("how, kind", [("drop", "missing branch"),
                                        ("descendant", "ancestor"),
                                        ("range", "out of range")])
@@ -130,13 +203,19 @@ def random_sub(tg, rng):
     return sub_at
 
 
+# a binary tree whose two types differ only in name, so that the leaf
+# types of two trees with the same leaf count differ in general
+TWO_NAMES = TypeGraph({"a": ["a", "b"], "b": ["b", "a"]}, "a")
+
+
 @EXAMPLES
-@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32))
+@given(tree=st.sampled_from(sorted(TREES) + ["two names"]),
+       seed=st.integers(0, 2 ** 32))
 def test_leaf_types_are_the_root_walk_types(tree, seed):
-    tg = TREES[tree]
+    tg = TREES.get(tree, TWO_NAMES)
     rng = random.Random(seed)
     g = random_element(tg, rng.randint(0, 8), rng)
-    for pair in (g.pair, graft(g.pair, random_sub(tg, rng))):
+    for pair in (g.pair, graft(g.pair, random_sub(tg, rng)), g.inverse().pair):
         assert pair.domain_types == tuple(map(tg.type_at, pair.domain_leaves))
         assert pair.range_types == tuple(map(tg.type_at, pair.range_leaves))
 
@@ -177,14 +256,16 @@ def test_inverse_reference_lifts_singleton_leaves():
 
 def test_products_powers_and_inverses_walk_no_root_paths(monkeypatch):
     # types come down one walk of each shape: no TypeGraph.type_at call;
-    # an inverse is one TreePair and no shape rebuild
+    # an inverse is one TreePair and no shape rebuild; none of them walks
+    # a shape with typed_leaves, which is for shapes from outside
     x0 = builtin_generators(TREES["binary"])["x0"]
     samples = {name: [random_element(tg, 6, random.Random(900 + i))
                       for i in range(6)] for name, tg in TREES.items()}
-    counts = {"type_at": 0, "pair": 0, "shape": 0}
+    counts = {"type_at": 0, "pair": 0, "shape": 0, "walk": 0}
     type_at = TypeGraph.type_at
-    init = TreePair.__init__
-    build = element_module.ordered_shape
+    fill = TreePair._set
+    build = element_module.ordered_tree
+    walk = element_module.typed_leaves
 
     def counting(key, fn):
         def wrapper(*args):
@@ -193,18 +274,20 @@ def test_products_powers_and_inverses_walk_no_root_paths(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(TypeGraph, "type_at", counting("type_at", type_at))
-    monkeypatch.setattr(TreePair, "__init__", counting("pair", init))
-    monkeypatch.setattr(element_module, "ordered_shape",
+    monkeypatch.setattr(TreePair, "_set", counting("pair", fill))
+    monkeypatch.setattr(element_module, "ordered_tree",
                         counting("shape", build))
+    monkeypatch.setattr(element_module, "typed_leaves",
+                        counting("walk", walk))
     for n in (7, 40, -40):
         x0.power(n)
     for elements in samples.values():
         for g, h in zip(elements, elements[1:]):
             compose(g, h)
-    assert counts["type_at"] == 0
+    assert counts["type_at"] == 0 and counts["walk"] == 0
     assert counts["pair"] > 0
     for elements in samples.values():
         for g in elements:
             counts.update(type_at=0, pair=0, shape=0)
             g.inverse()
-            assert counts == {"type_at": 0, "pair": 1, "shape": 0}
+            assert counts == {"type_at": 0, "pair": 1, "shape": 0, "walk": 0}

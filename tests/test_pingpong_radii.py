@@ -168,7 +168,7 @@ def test_build_pingpong_builds_each_neighborhood_once(monkeypatch, v_gens):
     built = []
     contracting = []
     neighborhood = alternative_module.epsilon_neighborhood
-    contraction = alternative_module.proximal_contraction
+    contraction = alternative_module._contraction
 
     def counted_neighborhood(*args, **kwargs):
         if not contracting:
@@ -184,7 +184,7 @@ def test_build_pingpong_builds_each_neighborhood_once(monkeypatch, v_gens):
 
     monkeypatch.setattr(alternative_module, "epsilon_neighborhood",
                         counted_neighborhood)
-    monkeypatch.setattr(alternative_module, "proximal_contraction",
+    monkeypatch.setattr(alternative_module, "_contraction",
                         marked_contraction)
     w = build_pingpong(v_gens, Budgets())
     assert w is not None

@@ -69,6 +69,22 @@ def test_generating_set_validation(binary, wide, sigma):
     assert s.evaluate(parse_word("s*s")).is_identity()
 
 
+def test_evaluate_reads_one_letter_table(x0, sigma):
+    s = GeneratingSet([x0, sigma], ["x0", "s"])
+    # an unknown letter is refused before and after the table is built
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown generator 'y'"):
+            s.evaluate(parse_word("x0*y"))
+    assert s.evaluate(()).is_identity()
+    assert s.evaluate(parse_word("x0")) == x0
+    assert s.evaluate(parse_word("x0^-1*s")) == compose(x0.inverse(), sigma)
+    # the inverses are computed once, with the table
+    letters = s.letters()
+    s.evaluate(parse_word("s^-1*x0^-1"))
+    assert s.letters() is letters
+    assert s.evaluate(parse_word("x0^-1")) is letters[1][1]
+
+
 def test_generating_set_file_roundtrip(binary, v_gens):
     text = format_generating_set(v_gens)
     back = parse_generating_set(binary, text)
