@@ -627,8 +627,9 @@ def main(argv=None) -> int:
     if args.threads < 1:
         sys.stderr.write("error: --threads must be >= 1\n")
         return EXIT_INPUT
-    session = Session(rng_seed=args.seed, budgets=_budgets(args), fmt=args.fmt)
     try:
+        session = Session(rng_seed=args.seed, budgets=_budgets(args),
+                          fmt=args.fmt)
         return _COMMANDS[args.command](session, args)
     except FormatError as e:
         sys.stderr.write(f"input error: {e}\n")

@@ -13,7 +13,7 @@ a budget is an answer, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from typing import Iterator, Mapping, Sequence
 
@@ -44,13 +44,21 @@ Word = tuple  # tuple[(name, +1 | -1), ...], rightmost letter acts first
 
 @dataclass(frozen=True)
 class Budgets:
-    """Explicit bounds for every semi-decidable search."""
+    """Explicit bounds for every semi-decidable search.  Every bound is
+    >= 0, and the orbit and closure sizes are >= 1: a smaller value raises
+    ValueError when the budgets are built."""
 
     word_length: int = 8
     orbit_size: int = 512
     expansion_depth: int = 12
     dovetail_steps: int = 10_000
     closure_size: int = 512
+
+    def __post_init__(self):
+        for f in fields(self):
+            least = 1 if f.name in ("orbit_size", "closure_size") else 0
+            if getattr(self, f.name) < least:
+                raise ValueError(f"budget {f.name} must be >= {least}")
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +347,13 @@ class _LetterImages:
     """Interned points and their memoised letter images for one generating
     set.  ``id(p)`` gives each point a dense int on first sight and
     ``points[i]`` is the point of id i; ``row(i)[k]`` is the id of the
-    image of that point under the element of ``s.letters()[k]``, computed
-    on the first call.  Equal ids are equal points, so searches compare and
-    hash ints, and searches that share a table share its ids and images."""
+    image of that point under the element of ``s.letters()[k]``.  Letter
+    ``k ^ 1`` is the inverse of letter k, so each image computed as
+    ``a_k(i) = j`` also fills entry ``k ^ 1`` of row j with i; ``row(i)``
+    computes only the entries still missing, and each edge of the orbit
+    graph costs one ``apply_point`` (docs/dynamics_notes.md, section 3).
+    Equal ids are equal points, so searches compare and hash ints, and
+    searches that share a table share its ids and images."""
 
     __slots__ = ("letters", "ids", "points", "rows")
 
@@ -349,22 +361,24 @@ class _LetterImages:
         self.letters = s.letters()
         self.ids = {}
         self.points = []
-        self.rows = []  # rows[i] is None until row(i) fills it
+        self.rows = []  # rows[i][k] is None until that image is known
 
     def id(self, p: BoundaryPoint) -> int:
         i = self.ids.get(p)
         if i is None:
             i = self.ids[p] = len(self.points)
             self.points.append(p)
-            self.rows.append(None)
+            self.rows.append([None] * len(self.letters))
         return i
 
     def row(self, i: int) -> list:
         row = self.rows[i]
-        if row is None:
+        if None in row:
             p = self.points[i]
-            row = self.rows[i] = [self.id(le.apply_point(p))
-                                  for _, le in self.letters]
+            for k, (_, le) in enumerate(self.letters):
+                if row[k] is None:
+                    j = row[k] = self.id(le.apply_point(p))
+                    self.rows[j][k ^ 1] = i
         return row
 
 

@@ -362,6 +362,29 @@ def test_budget_flags_are_budgets():
                                      closure_size=5)
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("words", "-1", "word_length"),
+    ("orbit", "0", "orbit_size"),
+    ("depth", "-5", "expansion_depth"),
+    ("steps", "-1", "dovetail_steps"),
+    ("closure", "-1", "closure_size"),
+])
+def test_bad_budget_exits_3(files, capsys, flag, value, field):
+    code, out, err = run_cli(["dichotomy", "--tree", str(files / "binary.json"),
+                              "--gens", str(files / "sgens.txt"),
+                              f"--budget-{flag}", value], capsys)
+    assert code == 3 and out == "" and f"budget {field} must be" in err
+
+
+def test_budgets_are_checked_when_built():
+    for field, least in (("word_length", 0), ("orbit_size", 1),
+                         ("expansion_depth", 0), ("dovetail_steps", 0),
+                         ("closure_size", 1)):
+        Budgets(**{field: least})
+        with pytest.raises(ValueError, match=field):
+            Budgets(**{field: least - 1})
+
+
 def test_byte_identical_reports_across_threads(files, capsys):
     base = ["dichotomy", "--tree", str(files / "binary.json"),
             "--gens", str(files / "vgens.txt")]
