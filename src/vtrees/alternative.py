@@ -483,14 +483,16 @@ def dichotomy(s: GeneratingSet, budgets: Budgets = Budgets()) -> DichotomyResult
 class _Run:
     """One ``dichotomy`` call, or one context-less ``build_pingpong``: the
     letter-image table its point searches share, the points whose orbits
-    overflowed, the stable core and its contributors, and the frontier that
-    an undecided verdict reports."""
+    overflowed, the dynamics reports revealed so far, the stable core and
+    its contributors, and the frontier that an undecided verdict reports."""
 
     def __init__(self, s: GeneratingSet, budgets: Budgets):
         self.s = s
         self.budgets = budgets
         self.images = _LetterImages(s)
         self.overflowed: dict = {}  # bound -> ids of points with a larger orbit
+        self.reports: dict = {}  # element -> its dynamics report
+        self.escapes: tuple | None = None  # set at the first orbit probe
         self.scanned = 0
         self.inter = ClopenSet.full(s.tg)
         self.contributors: list = []  # (word, element, report)
@@ -502,7 +504,7 @@ class _Run:
         contributor unless its stable part is everything.  When the core is
         now empty, the contributors' hyperbolic points become the
         candidates, and the answer is True."""
-        rep = dynamics(e)
+        rep = self.report(e)
         if not rep.stable.is_all():
             self.contributors.append((word, e, rep))
             self.inter = self.inter.intersect(rep.stable)
@@ -511,15 +513,47 @@ class _Run:
         self.candidates = _hyperbolic_points(r for _, _, r in self.contributors)
         return True
 
+    def report(self, e: Element) -> DynamicsReport:
+        """``dynamics(e)``, revealed once per run.  A reveal that hits a
+        fixed cap raises ``BudgetExceeded`` and keeps nothing, so a later
+        call meets the cap again."""
+        rep = self.reports.get(e)
+        if rep is None:
+            rep = self.reports[e] = dynamics(e)
+        return rep
+
+    def escape_data(self) -> tuple:
+        """The (hyperbolic part, periodic points) of each generator whose
+        hyperbolic part is nonempty, revealed at the run's first orbit
+        probe.  A generator whose reveal hits a fixed cap gives none: the
+        enumeration meets that cap when it reaches the generator."""
+        if self.escapes is None:
+            out = []
+            for e in self.s.elements:
+                try:
+                    rep = self.report(e)
+                except BudgetExceeded:
+                    continue
+                if not rep.hyperbolic.is_empty():
+                    out.append((rep.hyperbolic, frozenset(
+                        rep.attracting_periodic + rep.repelling_periodic)))
+            self.escapes = tuple(out)
+        return self.escapes
+
     def probe(self, xi: BoundaryPoint, bound: int) -> Orbit | None:
         """``orbit(xi, s, bound)``.  A point reached by an earlier search to
         the same bound that overflowed has that same orbit, so it is not
         searched again (docs/dynamics_notes.md, section 3).  The memo holds
-        point ids of the run's table."""
+        point ids of the run's table.  The search stops at the first point
+        a generator moves along an infinite forward orbit, that is a point
+        of the generator's hyperbolic part other than its periodic points;
+        the orbit is then infinite, and the points reached go into the memo
+        as well (section 3)."""
         memo = self.overflowed.setdefault(bound, set())
         if self.images.id(xi) in memo:
             return None
-        res, reached = _orbit_search(xi, self.s, bound, self.images)
+        res, reached = _orbit_search(xi, self.s, bound, self.images,
+                                     self.escape_data())
         if res is None:
             memo.update(reached)
         return res
@@ -544,8 +578,9 @@ class _Run:
     def invariant_branch(self, w: ClopenSet) -> Orbit | None:
         """Finite-orbit search on a nonempty candidate stable core w."""
         s, budgets = self.s, self.budgets
+        balls = w.balls()
         # direct orbit probes from a witness point in each ball
-        for ball in w.balls()[:16]:
+        for ball in balls[:16]:
             res = self.probe(eventually_periodic_witness(s.tg, ball),
                              budgets.orbit_size)
             if res is not None:
@@ -556,7 +591,7 @@ class _Run:
         # orbits exceed closure_size (docs/dynamics_notes.md, section 3).
         if budgets.closure_size <= budgets.orbit_size:
             return None
-        return self.probe(eventually_periodic_witness(s.tg, w.balls()[0]),
+        return self.probe(eventually_periodic_witness(s.tg, balls[0]),
                           budgets.closure_size)
 
     def empty_core_branch(self) -> DichotomyResult:

@@ -389,13 +389,22 @@ def orbit(x: BoundaryPoint, s: GeneratingSet, bound: int) -> Orbit | None:
 
 
 def _orbit_search(x: BoundaryPoint, s: GeneratingSet, bound: int,
-                  images: _LetterImages | None = None) -> tuple:
+                  images: _LetterImages | None = None,
+                  escapes: Sequence[tuple] = ()) -> tuple:
     """(orbit, None) as ``orbit`` finds it, or (None, the ids in ``images``
     of the points reached) when the orbit has more than ``bound`` points.
     Every point reached lies in x's orbit, so each of them has the same
     too-large orbit.  Letter images are read from and added to ``images``
     when it is given.  The search runs on point ids; only the orbit it
-    returns holds points."""
+    returns holds points.
+
+    ``escapes`` holds a (hyperbolic part, periodic points) pair for each of
+    some elements of the group.  The search also stops, with None and the
+    ids reached so far, at the first point (the seed or a newly reached
+    one) that lies in some element's hyperbolic part and is not one of its
+    periodic points: that element's forward iterates of the point are
+    pairwise distinct, so the orbit is infinite (docs/dynamics_notes.md,
+    section 3)."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if x.tg != s.tg:
@@ -404,8 +413,16 @@ def _orbit_search(x: BoundaryPoint, s: GeneratingSet, bound: int,
         images = _LetterImages(s)
     letters = [letter for letter, _ in images.letters]
     row = images.row
+    points = images.points
+
+    def escaping(p: BoundaryPoint) -> bool:
+        return any(p not in periodic and hyperbolic.contains_point(p)
+                   for hyperbolic, periodic in escapes)
+
     start = images.id(x)
     words = {start: ()}
+    if escaping(x):
+        return None, words.keys()
     queue = [start]
     for y in queue:
         for letter, z in zip(letters, row(y)):
@@ -413,8 +430,9 @@ def _orbit_search(x: BoundaryPoint, s: GeneratingSet, bound: int,
                 if len(words) >= bound:
                     return None, words.keys()
                 words[z] = (letter,) + words[y]
+                if escaping(points[z]):
+                    return None, words.keys()
                 queue.append(z)
-    points = images.points
     words = {points[i]: w for i, w in words.items()}
     pts = tuple(sorted(words, key=lambda p: p.sort_key()))
     return Orbit(x, pts, words), None

@@ -524,7 +524,8 @@ def test_driver_uses_no_closure(sigma, monkeypatch):
 def test_larger_probe_skips_known_overflows(monkeypatch):
     # the closure_size probe has its own memo: it never starts at a point
     # that an earlier closure_size search of the same call overflowed
-    # through, and skipping those probes changes no output
+    # through, and skipping those probes changes no output.  The memo is
+    # measured alone, with the generators' escape data emptied.
     import vtrees.alternative as alternative
     from test_dichotomy_golden import BINARY, WIDE, verdict_text, with_carets
     budgets = Budgets(word_length=4, orbit_size=16, closure_size=64)
@@ -535,8 +536,8 @@ def test_larger_probe_skips_known_overflows(monkeypatch):
     search = alternative._orbit_search
     log = []  # (start, points reached when it overflowed) per larger search
 
-    def logged(x, s, bound, images=None):
-        res, reached = search(x, s, bound, images)
+    def logged(x, s, bound, images=None, escapes=()):
+        res, reached = search(x, s, bound, images, escapes)
         if bound == budgets.closure_size:
             # the search reports the reached points by their ids in images
             log.append((x, {images.points[i] for i in reached or ()}))
@@ -553,7 +554,12 @@ def test_larger_probe_skips_known_overflows(monkeypatch):
         return texts, searches
 
     monkeypatch.setattr(alternative, "_orbit_search", logged)
+    texts_escaping, _ = run_all(memo=True)
+    # 45 against 48 larger searches with the escape data when this test
+    # was written
+    monkeypatch.setattr(alternative._Run, "escape_data", lambda self: ())
     texts, searches = run_all(memo=True)
+    assert texts == texts_escaping
     # the same run with the closure_size memo emptied before each probe
     probe = alternative._Run.probe
 
@@ -594,6 +600,25 @@ def test_bfs_node_cap_ends_in_undecided(x0, x1, sigma, monkeypatch):
     res = dichotomy(GeneratingSet([g, x0], ["g", "x0"]))
     assert res.verdict == "undecided"
     assert "_BFS_NODE_CAP" in res.diagnostics["reason"]
+    # the identity's probe reveals the generators but gives g no escape
+    # data; the enumeration meets the cap when it reaches g
+    assert res.diagnostics["elements_scanned"] == 2
+
+
+def test_a_run_reveals_each_element_once(v_gens, monkeypatch):
+    import vtrees.alternative as alternative
+    revealed = []
+
+    def logged(g):
+        revealed.append(g)
+        return dynamics(g)
+
+    monkeypatch.setattr(alternative, "dynamics", logged)
+    from test_dichotomy_golden import CASE_BUDGETS, seeded_cases
+    for s in [v_gens] + seeded_cases()[:12]:
+        revealed.clear()
+        dichotomy(s, CASE_BUDGETS)
+        assert revealed and len(set(revealed)) == len(revealed)
 
 
 # A binary tree hung below a root with one child: the boundary is the binary

@@ -14,6 +14,9 @@
   would make a build superlinear.
 - No function in ``element.py`` calls itself: its trees grow as deep as
   the exponents of the powers taken, so it uses explicit stacks.
+- ``alternative.py`` reveals only through ``stable_set``, through
+  ``_contraction`` when it is given no reports, and through the run's one
+  report memo, ``_Run.report``.  Then no run reveals an element twice.
 - The names ``vtrees/__init__.py`` exports are pinned: they are the public
   API, and README names every public name that is removed.
 """
@@ -176,6 +179,54 @@ def test_self_calls_are_detected():
 def test_element_functions_do_not_recurse():
     source = (SRC / "element.py").read_text(encoding="utf-8")
     assert self_calls(source) == []
+
+
+REVEALS = ("dynamics", "reveal", "is_elliptic", "order",
+           "report_from_revealing")
+
+
+def reveal_sites(source: str) -> list:
+    """(function or ``Class.method``, the test of the innermost ``if``
+    around the call or None) for each call of a revealing function."""
+    found = []
+
+    def visit(node, name, guard):
+        for child in ast.iter_child_nodes(node):
+            inner_name, inner_guard = name, guard
+            if isinstance(child, ast.FunctionDef):
+                inner_name = f"{name}.{child.name}" if name else child.name
+                inner_guard = None
+            elif isinstance(child, ast.ClassDef):
+                inner_name = child.name
+            elif isinstance(child, ast.If):
+                inner_guard = ast.unparse(child.test)
+            if isinstance(child, ast.Call) and {
+                    getattr(child.func, "id", None),
+                    getattr(child.func, "attr", None)} & set(REVEALS):
+                found.append((name, guard))
+            visit(child, inner_name, inner_guard)
+
+    visit(ast.parse(source), None, None)
+    return sorted(found, key=str)
+
+
+def test_reveal_sites_are_detected():
+    assert reveal_sites(
+        "def f(g):\n"
+        "    return dynamics(g)\n"
+        "class C:\n"
+        "    def m(self, e, reps):\n"
+        "        if reps is None:\n"
+        "            reps = [revealing.reveal(e)]\n"
+        "        return order(e), e.order\n") == [
+            ("C.m", "reps is None"), ("C.m", None), ("f", None)]
+
+
+def test_the_driver_reveals_through_one_memo():
+    source = (SRC / "alternative.py").read_text(encoding="utf-8")
+    assert reveal_sites(source) == [("_Run.report", "rep is None"),
+                                    ("_contraction", "reports is None"),
+                                    ("stable_set", None)]
 
 
 EXPORTS = {
