@@ -60,6 +60,7 @@ from .subgroup import (
     word_inverse,
     word_str,
 )
+from . import revealing
 
 
 def stable_set(g: Element) -> ClopenSet:
@@ -608,8 +609,9 @@ class _Run:
             "stable parts empty but neither branch verified in budget")
 
     def undecided(self, reason: str) -> DichotomyResult:
-        """The frontier, and as ``pingpong_stop`` the step where a ping-pong
-        construction stopped."""
+        """The frontier, the fixed search caps as ``caps`` (read now, so a
+        patched cap shows its value), and as ``pingpong_stop`` the step
+        where a ping-pong construction stopped."""
         stop = {"pingpong_stop": self.stop} if self.stop else {}
         return DichotomyResult("undecided", diagnostics={
             "reason": reason,
@@ -618,5 +620,9 @@ class _Run:
             "contributor_words": [word_str(w) for w, _, _ in self.contributors],
             "candidate_points": [str(p) for p in self.candidates],
             "budgets": asdict(self.budgets),
+            "caps": {"_BFS_NODE_CAP": revealing._BFS_NODE_CAP,
+                     "_ROLL_CAP": revealing._ROLL_CAP,
+                     "_ROUND_CAP": _ROUND_CAP,
+                     "_STAGE_POWER_CAP": _STAGE_POWER_CAP},
             **stop,
         })

@@ -11,6 +11,7 @@ never changes results (at this scale all searches run sequentially).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -614,8 +615,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  Its usage line is fixed here once: it is
+    the string ``parse_intermixed_args`` would otherwise format and set on
+    every call, so every message stays the same."""
     parser = _build_parser()
+    parser.usage = parser.format_usage()[7:]
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one ``vtrees`` invocation and return its exit code.
+
+    Every call in a process parses with the same parser, built once.  Its
+    usage line is fixed when it is built, so every report, help text and
+    usage error is the same as from a parser built for the call.  ``main``
+    is a process entry point: concurrent calls from several threads are not
+    supported (``--threads`` runs nothing in parallel)."""
+    parser = _parser()
     try:
         args = parser.parse_intermixed_args(argv)
         if (args.point is None) == (args.command in ("apply", "orbit")):

@@ -337,6 +337,9 @@ def test_dichotomy_undecided_on_tiny_budget(v_gens):
     res = dichotomy(v_gens, Budgets(word_length=0, dovetail_steps=10_000))
     assert res.verdict == "undecided"
     assert "reason" in res.diagnostics
+    assert res.diagnostics["caps"] == {
+        "_BFS_NODE_CAP": 500_000, "_ROLL_CAP": 512, "_ROUND_CAP": 16,
+        "_STAGE_POWER_CAP": 512}
 
 
 STOPPED = "stable parts empty but neither branch verified in budget"
@@ -585,6 +588,7 @@ def test_round_cap_ends_in_undecided(v_gens, monkeypatch):
     assert res.verdict == "undecided"
     assert "_ROUND_CAP" in res.diagnostics["reason"]
     assert res.diagnostics["candidate_points"] == ["(0)^inf", "(1)^inf"]
+    assert res.diagnostics["caps"]["_ROUND_CAP"] == 0
 
 
 def test_bfs_node_cap_ends_in_undecided(x0, x1, sigma, monkeypatch):

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+import vtrees.cli as cli
 from vtrees.cli import (
     _budgets,
     _build_parser,
+    _parser,
     main,
     witness_from_json,
     witness_json,
@@ -216,6 +218,7 @@ def test_dichotomy_finite_orbit_and_undecided(files, capsys):
                     "--gens", str(files / "vgens.txt"),
                     "--budget-words", "0"], capsys, expect=2)
     assert doc["verdict"] == "undecided"
+    assert doc["diagnostics"]["caps"]["_ROUND_CAP"] == 16
 
 
 def test_search_caps_exit_2(files, capsys, monkeypatch):
@@ -392,6 +395,41 @@ def test_byte_identical_reports_across_threads(files, capsys):
     _, out4, _ = run_cli(base + ["--threads", "4"], capsys)
     _, out1b, _ = run_cli(base + ["--threads", "1"], capsys)
     assert out1 == out4 == out1b
+
+
+def test_one_parser_per_process(files, capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return _build_parser()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    _parser.cache_clear()
+    for args in (["order", "--tree", str(files / "binary.json"),
+                  "--element", str(files / "sigma.txt")], ["nope"], ["-h"]):
+        run_cli(args, capsys)
+    assert len(built) == 1
+
+
+def test_cached_usage_is_the_formatted_usage():
+    assert _parser().usage == _build_parser().format_usage()[7:]
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"], ["-h"], [], ["nope"], ["order", "--budget-words", "x"],
+    ["orbit", "--tree", "{tree}", "--gens", "{sgens}"],
+    ["order", "--tree", "{tree}", "--element", "{x0}", "(0)^inf"],
+])
+def test_repeated_calls_give_the_same_output(files, capsys, args):
+    args = [a.format(tree=files / "binary.json", sgens=files / "sgens.txt",
+                     x0=files / "x0.txt") for a in args]
+    _parser.cache_clear()
+    first = run_cli(args, capsys)
+    assert first == run_cli(args, capsys)
+    # a usage error exits through SystemExit inside the shared parser
+    assert run_cli([], capsys)[0] == 3
+    assert first == run_cli(args, capsys)
 
 
 def test_fresh_process_invocation(files):

@@ -17,6 +17,8 @@
 - ``alternative.py`` reveals only through ``stable_set``, through
   ``_contraction`` when it is given no reports, and through the run's one
   report memo, ``_Run.report``.  Then no run reveals an element twice.
+- ``cli.py`` calls ``_build_parser()`` in one place only, the cached
+  accessor ``_parser``, so a process builds one parser.
 - The names ``vtrees/__init__.py`` exports are pinned: they are the public
   API, and README names every public name that is removed.
 """
@@ -227,6 +229,35 @@ def test_the_driver_reveals_through_one_memo():
     assert reveal_sites(source) == [("_Run.report", "rep is None"),
                                     ("_contraction", "reports is None"),
                                     ("stable_set", None)]
+
+
+def parser_builds(source: str) -> list:
+    """The top-level function, or ``<module>``, of each ``_build_parser()``
+    call; nested functions count for their top-level one."""
+    return sorted(top.name if isinstance(top, ast.FunctionDef) else "<module>"
+                  for top in ast.parse(source).body
+                  for n in ast.walk(top) if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", None) == "_build_parser")
+
+
+def test_parser_builds_are_detected():
+    assert parser_builds(
+        "def _build_parser():\n"
+        "    return argparse.ArgumentParser()\n"
+        "@functools.cache\n"
+        "def _parser():\n"
+        "    return _build_parser()\n"
+        "def main(argv=None):\n"
+        "    def again():\n"
+        "        return _build_parser()\n"
+        "    return _build_parser(), again()\n"
+        "PARSER = _build_parser()\n") == ["<module>", "_parser", "main",
+                                          "main"]
+
+
+def test_the_cli_builds_its_parser_in_one_place():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert parser_builds(source) == ["_parser"]
 
 
 EXPORTS = {
