@@ -33,7 +33,7 @@ from .treespace import (
     ClopenSet,
     FormatError,
     TypeGraph,
-    _node_build,
+    _node_fill,
     address_str,
     junction_point,
     parse_address,
@@ -529,9 +529,11 @@ class Element:
         if c.tg != self.tg:
             raise ValueError("clopen set over a different type graph")
         p = self.pair
-        return ClopenSet(self.tg, _node_build(self.tg, (
-            (p.range_leaves[j], _trie_at(c.node, u))
-            for u, j in zip(p.domain_leaves, p.perm))))
+        # the part of c below each domain leaf, at its range leaf's index
+        subs = [None] * len(p.perm)
+        for u, j in zip(p.domain_leaves, p.perm):
+            subs[j] = _trie_at(c.node, u)
+        return ClopenSet(self.tg, _node_fill(p.range, subs))
 
     def __call__(self, x):
         if isinstance(x, BoundaryPoint):

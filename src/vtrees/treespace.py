@@ -23,6 +23,7 @@ All values are immutable and hashable; operations never mutate shared state.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import sys
@@ -198,7 +199,7 @@ def subtree_isomorphic(tg: TypeGraph, s: str, t: str) -> bool:
 
 
 def address_str(address: Address) -> str:
-    return "".join(_DIGITS[i] for i in address)
+    return "".join(map(_DIGITS.__getitem__, address))
 
 
 def parse_address(text: str) -> Address:
@@ -255,9 +256,7 @@ class BoundaryPoint:
         return self.cycle[(n - len(self.prefix)) % len(self.cycle)]
 
     def indices(self) -> Iterator[int]:
-        yield from self.prefix
-        while True:
-            yield from self.cycle
+        return itertools.chain(self.prefix, itertools.cycle(self.cycle))
 
     def address_prefix(self, n: int) -> Address:
         """The address of the depth-n vertex this end passes through."""
@@ -457,8 +456,8 @@ def parse_eps(text: str) -> Fraction:
 # True itself, and one whose child is a proper tuple stays a 1-tuple.  This
 # makes the representation canonical: two clopen sets denote the same subset
 # of the boundary iff their tries are equal.  Only the builder,
-# ``_node_build``, reads the type graph; every other operation reads the
-# tries alone.
+# ``_node_build``, reads the type graph; every other operation, the shape
+# fill ``_node_fill`` of ``apply_clopen`` included, reads the tries alone.
 
 
 def _node_merge(a, b, top: bool):
@@ -493,70 +492,120 @@ def _node_build(tg: TypeGraph, pieces: Iterable[tuple]):
     """The trie of the union of ``(address, sub)`` pieces, each the trie
     ``sub`` below the vertex ``address``; an empty ``sub`` adds nothing.
 
-    Every address of a nonempty piece is checked in input order first.
-    Then one pass over the pieces sorted by address keeps the open vertices
-    on a stack: each trie vertex is opened and closed once, a piece below a
-    full ball is skipped, and only two proper tries at one address are
-    merged.
+    One pass over the pieces sorted by address keeps the open vertices on a
+    path: each trie vertex is opened and closed once, a piece below a full
+    ball is skipped, and only two proper tries at one address are merged.
+    Each index is checked as the walk reaches it, and below a full ball the
+    rest of the address is walked; when a check fails, the ValueError names
+    the first invalid address in input order.
     """
     pieces = [(tuple(a), sub) for a, sub in pieces if sub is not False]
-    for a, _ in pieces:
-        if not tg.is_valid_address(a):
-            raise ValueError(f"invalid address {address_str(a)!r}")
-    pieces.sort(key=itemgetter(0))
+    ordered = sorted(pieces, key=itemgetter(0))
     children = tg.children
     root = False
-    for a, sub in pieces:  # the pieces at the root come first
+    k = 0
+    for a, sub in ordered:  # the pieces at the root come first
         if a:
             break
         root = _node_merge(root, sub, True)
+        k += 1
     if root is True:
-        return True
-    # stack[k] is (type, children) of the open vertex at here[:k]
-    here: list = []
-    stack = [(tg.root_type, _open(root, len(children[tg.root_type])))]
-    for a, sub in pieces:
-        if not a:
-            continue
-        last = len(a) - 1
-        n = 0
-        while n < len(here) and n < last and here[n] == a[n]:
-            n += 1
-        while len(here) > n:
-            _close(stack, here)
-        while n < last:
-            i = a[n]
-            t, row = stack[-1]
-            if row[i] is True:
-                break  # below a full ball
-            t = children[t][i]
-            stack.append((t, _open(row[i], len(children[t]))))
-            here.append(i)
-            n += 1
-        else:
-            row = stack[-1][1]
-            row[a[-1]] = _node_merge(row[a[-1]], sub, True)
-    while here:
-        _close(stack, here)
-    row = stack[0][1]
-    return False if row.count(False) == len(row) else _closed(row)
-
-
-def _open(node, arity: int) -> list:
-    """The children of ``node`` (not True), as a list to fill in."""
-    return list(node) if node is not False else [False] * arity
-
-
-def _closed(row: list):
-    # count compares with ==, which is exact here: a row holds only True,
-    # False and tuples
+        if all(tg.is_valid_address(a) for a, _ in pieces):
+            return True
+        raise _invalid_address(tg, pieces)
+    # rows[m] is the children list of the open vertex path[:m], and
+    # kinds[m] the child types of that vertex.  A row's count compares with
+    # ==, which is exact here: a row holds only True, False and tuples.
+    kinds = [children[tg.root_type]]
+    rows = [list(root) if root is not False else [False] * len(kinds[0])]
+    path = ()
+    # An index past its vertex's arity raises IndexError; a negative one,
+    # which Python would read from the end, raises it explicitly.
+    try:
+        for a, sub in ordered[k:]:
+            last = len(a) - 1
+            n = len(path)
+            if n > last or a[:n] != path:  # close the vertices below path[:n]
+                n = 0
+                while n < last and a[n] == path[n]:
+                    n += 1
+                for m in range(len(path) - 1, n - 1, -1):
+                    row = rows.pop()
+                    rows[m][path[m]] = (True if row.count(True) == len(row)
+                                        else tuple(row))
+                del kinds[n + 1:]
+            row = rows[n]
+            cs = kinds[n]
+            while n < last:
+                i = a[n]
+                node = row[i]
+                if i < 0:
+                    raise IndexError
+                if node is True:  # below a full ball: check the rest of a
+                    t = cs[i]
+                    for j in a[n + 1:]:
+                        if j < 0:
+                            raise IndexError
+                        t = children[t][j]
+                    break
+                cs = children[cs[i]]
+                row = list(node) if node is not False else [False] * len(cs)
+                rows.append(row)
+                kinds.append(cs)
+                n += 1
+            else:
+                i = a[last]
+                if i < 0:
+                    raise IndexError
+                row[i] = _node_merge(row[i], sub, True)
+            path = a[:n]
+    except IndexError:
+        raise _invalid_address(tg, pieces) from None
+    for m in range(len(path) - 1, -1, -1):
+        row = rows.pop()
+        rows[m][path[m]] = True if row.count(True) == len(row) else tuple(row)
+    row = rows[0]
+    if row.count(False) == len(row):
+        return False
     return True if row.count(True) == len(row) else tuple(row)
 
 
-def _close(stack: list, here: list) -> None:
-    """Close the deepest open vertex into its slot in its parent."""
-    node = _closed(stack.pop()[1])
-    stack[-1][1][here.pop()] = node
+def _invalid_address(tg: TypeGraph, pieces: list) -> ValueError:
+    """The error naming the first invalid address of ``pieces``, in input
+    order: as digits, or as the tuple when an index has no digit."""
+    a = next(a for a, _ in pieces if not tg.is_valid_address(a))
+    name = address_str(a) if all(0 <= i < MAX_ARITY for i in a) else a
+    return ValueError(f"invalid address {name!r}")
+
+
+def _node_fill(shape, subs: Sequence):
+    """The trie that is ``subs[k]`` below the k-th leaf, in depth-first
+    order, of the complete-subtree shape ``shape`` (nested tuples, None at
+    a leaf), each of whose vertices is then closed bottom-up."""
+    if shape is None:
+        return subs[0]
+    leaves = iter(subs)
+    walks = [iter(shape)]  # the children still to visit of each open vertex
+    rows: list = [[]]  # the closed children of each open vertex
+    while True:
+        for kid in walks[-1]:
+            if kid is not None:
+                walks.append(iter(kid))
+                rows.append([])
+                break
+            rows[-1].append(next(leaves))
+        else:
+            walks.pop()
+            row = rows.pop()
+            if row.count(False) == len(row):
+                node = False
+            elif row.count(True) == len(row):
+                node = True
+            else:
+                node = tuple(row)
+            if not rows:
+                return node
+            rows[-1].append(node)
 
 
 @dataclass(frozen=True)
@@ -638,7 +687,10 @@ class ClopenSet:
     def balls(self) -> tuple:
         """The canonical antichain of ball addresses, in depth-first order."""
         # One path list, cut back to each popped node's depth: only the
-        # balls themselves are copied.
+        # balls themselves are copied.  A vertex with one nonempty child is
+        # stepped through without a stack entry.
+        if self.node is False:
+            return ()
         out: list = []
         path: list = []
         stack = [(0, 0, self.node)]
@@ -647,12 +699,20 @@ class ClopenSet:
             if depth:
                 del path[depth - 1:]
                 path.append(i)
-            if node is True:
+            while node is not True:
+                if node.count(False) + 1 < len(node):
+                    depth = len(path) + 1
+                    for j in range(len(node) - 1, -1, -1):
+                        if node[j] is not False:
+                            stack.append((depth, j, node[j]))
+                    break
+                j = 0
+                while node[j] is False:
+                    j += 1
+                path.append(j)
+                node = node[j]
+            else:
                 out.append(tuple(path))
-            elif node is not False:
-                for j in range(len(node) - 1, -1, -1):
-                    if node[j] is not False:
-                        stack.append((depth + 1, j, node[j]))
         return tuple(out)
 
     def ball_strs(self) -> list:

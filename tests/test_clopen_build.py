@@ -1,10 +1,14 @@
-"""Clopen sets built in one sorted pass, and their ball listing.
+"""Clopen sets built in one sorted pass, their images, and their listing.
 
-``ClopenSet.from_balls``, ``ClopenSet.ball``, ``epsilon_neighborhood`` and
-``Element.apply_clopen`` build their tries with ``treespace._node_build``.
-Each is compared with a reference kept here, which grafts one ball at a time
-and folds the grafts with ``union``, and membership is checked against the
-input balls, also through ``oracles.contains_point_bruteforce``.
+``ClopenSet.from_balls``, ``ClopenSet.ball`` and ``epsilon_neighborhood``
+build their tries with ``treespace._node_build``, which checks each address
+as its walk reaches it; ``Element.apply_clopen`` fills the range shape of the
+pair with ``treespace._node_fill``.  Each is compared with a reference kept
+here, which grafts one ball at a time and folds the grafts with ``union``.
+Invalid addresses must give the error of an input-order scan.  Listing is
+compared with a listing that copies the address at every level, and
+membership and ``full_depth`` with the input balls, a plain prefix walk and
+``oracles.contains_point_bruteforce``.
 """
 
 import subprocess
@@ -13,7 +17,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vtrees import (
     ClopenSet,
@@ -23,7 +27,7 @@ from vtrees import (
     eventually_periodic_witness,
     random_element,
 )
-from vtrees.treespace import _node_build, address_str
+from vtrees.treespace import MAX_ARITY, _node_build, address_str
 
 from conftest import child_env
 from oracles import contains_point_bruteforce
@@ -40,6 +44,10 @@ EXAMPLES = settings(database=None, derandomize=True, max_examples=200,
                     deadline=None)
 
 digit_lists = st.lists(st.integers(0, 2), max_size=6)
+# long walks: chains of vertices with one nonempty child
+chain_lists = st.lists(st.integers(0, 2), min_size=20, max_size=60)
+# an index no vertex has: negative, the arity, past it, past every digit
+BAD_INDICES = ("negative", "arity", "past", "no digit")
 
 
 def walk(tg, start, raw):
@@ -106,6 +114,27 @@ def reference_balls(node):
     return tuple(out)
 
 
+def reference_error(tg, addresses):
+    """The error of an input-order scan: the first invalid address, as
+    digits, or as the tuple when an index has no digit; None if all are
+    valid."""
+    bad = next((a for a in addresses if not tg.is_valid_address(a)), None)
+    if bad is None:
+        return None
+    name = address_str(bad) if all(0 <= i < MAX_ARITY for i in bad) else bad
+    return f"invalid address {name!r}"
+
+
+def reference_full_depth(node, x):
+    """The depth of the first full node on x's path, walked one index at
+    a time; None when an empty node comes first."""
+    n = 0
+    while node is not True and node is not False:
+        node = node[x.index_at(n)]
+        n += 1
+    return n if node is True else None
+
+
 def reference_str(node):
     if node is False:
         return "{}"
@@ -133,6 +162,7 @@ def assert_same_set(built, reference, balls, points):
         inside = any(x.address_prefix(len(b)) == tuple(b) for b in balls)
         assert built.contains_point(x) == inside
         assert contains_point_bruteforce(built, x, depth) == inside
+        assert built.full_depth(x) == reference_full_depth(built.node, x)
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +171,14 @@ def assert_same_set(built, reference, balls, points):
 
 @EXAMPLES
 @given(data=st.data(), tree=st.sampled_from(sorted(TREES)),
-       raw=st.lists(digit_lists, max_size=8),
+       raw=st.lists(st.one_of(digit_lists, chain_lists), max_size=8),
        container=st.sampled_from(["list", "tuple", "generator"]),
-       address_type=st.sampled_from([tuple, list]))
+       address_type=st.sampled_from([tuple, list]),
+       bad=st.lists(st.tuples(st.integers(0, 7), digit_lists,
+                              st.sampled_from(BAD_INDICES), digit_lists),
+                    max_size=2))
 def test_from_balls_matches_one_ball_at_a_time(data, tree, raw, container,
-                                                address_type):
+                                                address_type, bad):
     tg = GRAPHS[tree]
     balls = [walk(tg, (), r) for r in raw]
     if balls:
@@ -156,11 +189,26 @@ def test_from_balls_matches_one_ball_at_a_time(data, tree, raw, container,
             balls.append(walk(tg, balls[k], data.draw(digit_lists)))
     if data.draw(st.integers(0, 4)) == 0:
         balls.insert(data.draw(st.integers(0, len(balls))), ())
+    # invalid addresses, most of them below a drawn ball: a valid walk,
+    # one index its last vertex lacks, then any indices
+    valid = list(balls)
+    for k, head, kind, tail in bad:
+        v = walk(tg, valid[k % len(valid)] if valid else (), head)
+        arity = tg.arity(tg.type_at(v))
+        i = {"negative": -1, "arity": arity, "past": arity + 1,
+             "no digit": MAX_ARITY + 4}[kind]
+        balls.insert(k % (len(balls) + 1), v + (i,) + tuple(tail))
     given_balls = [address_type(b) for b in balls]
     if container == "tuple":
         given_balls = tuple(given_balls)
     elif container == "generator":
         given_balls = (b for b in given_balls)
+    error = reference_error(tg, balls)
+    if error is not None:
+        with pytest.raises(ValueError) as raised:
+            ClopenSet.from_balls(tg, given_balls)
+        assert str(raised.value) == error
+        return
     points = [point(tg, p, c) for p, c in data.draw(
         st.lists(st.tuples(digit_lists, digit_lists), max_size=6))]
     points += [eventually_periodic_witness(tg, b) for b in balls]
@@ -191,10 +239,18 @@ def test_epsilon_neighborhood_matches_one_ball_at_a_time(tree, ends, m, probes):
        raw=st.lists(digit_lists, max_size=5),
        carets=st.integers(0, 5), seed=st.integers(0, 2 ** 32),
        probes=st.lists(st.tuples(digit_lists, digit_lists), max_size=6))
+@example(tree="binary", raw=[[0, 1], [1, 1, 0]], carets=0, seed=0,
+         probes=[([0, 1], [0]), ([], [1])])
+@example(tree="stem", raw=[[0, 1]], carets=0, seed=0, probes=[([0, 1], [1])])
+@example(tree="ray", raw=[[0, 0, 1], [1]], carets=5, seed=0,
+         probes=[([0, 0], [1]), ([], [0])])
+@example(tree="stem", raw=[[0, 1, 0], [0, 0]], carets=5, seed=5,
+         probes=[([0, 1], [0]), ([0], [1])])
 def test_apply_clopen_matches_one_leaf_at_a_time(tree, raw, carets, seed, probes):
     tg = GRAPHS[tree]
     c = ClopenSet.from_balls(tg, [walk(tg, (), r) for r in raw])
     g = random_element(tg, carets, seed)
+    assert carets or g.is_identity()
     image = g.apply_clopen(c)
     reference = reference_union(tg, [(w, trie_at(c.node, u))
                                      for u, w in g.leaf_map().items()])
@@ -234,6 +290,13 @@ def test_from_balls_reports_the_first_invalid_address_in_input_order(binary, wid
         ClopenSet.from_balls(wide, [(2, 1), (1, 2), (3,)])
 
 
+@pytest.mark.parametrize("address, name", [((40,), r"\(40,\)"),
+                                           ((-1,), r"\(-1,\)")])
+def test_an_index_without_a_digit_is_named_as_a_tuple(binary, address, name):
+    with pytest.raises(ValueError, match=f"^invalid address {name}$"):
+        ClopenSet.from_balls(binary, [address])
+
+
 def test_invalid_address_under_a_full_ball_still_raises(binary):
     with pytest.raises(ValueError, match="^invalid address '2'$"):
         ClopenSet.from_balls(binary, [(), (2,)])
@@ -249,12 +312,21 @@ def test_epsilon_neighborhood_rejects_a_point_of_another_tree(binary, wide):
         epsilon_neighborhood(wide, [x], Fraction(1, 2))
 
 
+# Listings are compared, not tries: tuple == recurses down a trie.
 DEEP_PAIR = """
-from vtrees import ClopenSet, TypeGraph
+from vtrees import ClopenSet, TypeGraph, boundary_point, parse_element
+from vtrees.treespace import address_str
 d = 60_000
 tg = TypeGraph({"b": ["b", "b"]}, "b")
 c = ClopenSet.from_balls(tg, [(0,) * d, (0,) * (d - 1) + (1,)])
 assert c.ball_strs() == ["0" * (d - 1)]
+assert c.contains_point(boundary_point(tg, (), (0,)))
+g = parse_element(tg, "pair{domain=[00,01,10,110,111], "
+                      "range=[000,001,01,10,11], perm=[1,0,2,4,3]}")
+(u, w), = [(u, w) for u, w in g.leaf_map().items() if not any(u)]
+image = g.apply_clopen(c)
+assert image.ball_strs() == [address_str(w) + "0" * (d - 1 - len(u))]
+assert g.inverse().apply_clopen(image).ball_strs() == c.ball_strs()
 """
 
 

@@ -5,7 +5,10 @@
 - Only ``treespace.py`` constructs ``BoundaryPoint`` directly, so every point
   the library makes has been canonicalised there.
 - Only ``treespace.py`` reaches ``_node_merge``, so every clopen set made of
-  many pieces is built in one pass by ``_node_build``.
+  many pieces is built in one pass, by ``_node_build`` or ``_node_fill``.
+- Every private top-level function and class of the library is named
+  somewhere in the library outside its own definition, so no helper is left
+  behind by the code that used it.
 - The tree-pair builders of ``element.py`` (``shape_from_leaves``,
   ``ordered_tree``, ``pair_from_ordered``, ``cancel_carets``,
   ``TreePair.__init__``, ``TreePair._set``, ``reduce_map``,
@@ -98,6 +101,49 @@ def test_only_treespace_merges_tries():
              for p in sorted(SRC.glob("*.py")) if p.name != "treespace.py"}
     assert found
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def unnamed_privates(sources: dict) -> list:
+    """``module:name`` of each private top-level function or class whose
+    name no top-level statement of ``sources`` reads or imports, other than
+    its own definition."""
+    uses = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            names = {getattr(n, "id", None) or getattr(n, "attr", None)
+                     or getattr(n, "name", None) for n in ast.walk(top)
+                     if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+            uses.append((module, top, names))
+    return sorted(f"{module}:{top.name}" for module, top, _ in uses
+                  if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                  and top.name.startswith("_") and not top.name.startswith("__")
+                  and not any(top.name in names
+                              for _, other, names in uses if other is not top))
+
+
+def test_unnamed_privates_are_detected():
+    assert unnamed_privates({
+        "a.py": "def _used():\n"
+                "    return 1\n"
+                "def _recursive(n):\n"
+                "    return _recursive(n - 1)\n"
+                "class _Orphan:\n"
+                "    pass\n"
+                "def _imported():\n"
+                "    pass\n"
+                "def _reached():\n"
+                "    pass\n"
+                "def public():\n"
+                "    return _used()\n",
+        "b.py": "from .a import _imported\n"
+                "from . import a\n"
+                "x = a._reached\n"}) == ["a.py:_Orphan", "a.py:_recursive"]
+
+
+def test_every_private_helper_is_used():
+    found = unnamed_privates({p.name: p.read_text(encoding="utf-8")
+                              for p in sorted(SRC.glob("*.py"))})
+    assert found == []
 
 
 ROOT_WALKS = ("type_at", "interior_vertices")
