@@ -19,24 +19,17 @@ from .treespace import (
     parse_eps,
     parse_point,
     point_is_isolated,
-    subtree_isomorphic,
     visual_distance,
 )
 from .element import (
     Element,
     GeneratorFamily,
     TreePair,
-    apply_clopen,
-    apply_point,
     builtin_generators,
     compose,
     element_from_map,
-    equals,
-    expand,
     format_element,
     identity,
-    inverse,
-    is_identity,
     make_element,
     parse_element,
     random_element,
@@ -61,12 +54,10 @@ from .revealing import (
 from .subgroup import (
     AdmissiblePartition,
     Budgets,
-    EllipticityReport,
     GeneratingSet,
     GroupClosure,
     Orbit,
     RestrictedElement,
-    all_elliptic_or_witness,
     common_admissible_partition,
     enumerate_elements,
     finite_closure,

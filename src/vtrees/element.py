@@ -593,14 +593,6 @@ def graft_map(pair: TreePair, sub_at: Callable) -> dict:
     return kappa
 
 
-def expand(e: Element, u: Sequence[int]) -> TreePair:
-    """One caret expansion of e's pair at the domain leaf u (not reduced)."""
-    u = tuple(u)
-    if u not in e.pair.domain_leaves:
-        raise ValueError(f"{address_str(u)!r} is not a domain leaf")
-    return expand_pair(e.pair, u)
-
-
 def expand_pair(pair: TreePair, u: Address) -> TreePair:
     caret = (None,) * pair.tg.arity(pair.tg.type_at(u))
     return graft(pair, lambda v, w: caret if v == u else None)
@@ -639,26 +631,6 @@ def compose(g: Element, h: Element) -> Element:
             kappa += ((u + t, gp.range_leaves[gp.perm[k]])
                       for k, t in enumerate(shape_leaves(node), i))
     return Element(pair_from_ordered(g.tg, cancel_carets(g.tg, kappa)))
-
-
-def inverse(g: Element) -> Element:
-    return g.inverse()
-
-
-def apply_point(g: Element, x: BoundaryPoint) -> BoundaryPoint:
-    return g.apply_point(x)
-
-
-def apply_clopen(g: Element, c: ClopenSet) -> ClopenSet:
-    return g.apply_clopen(c)
-
-
-def equals(g: Element, h: Element) -> bool:
-    return g == h
-
-
-def is_identity(g: Element) -> bool:
-    return g.is_identity()
 
 
 # ---------------------------------------------------------------------------

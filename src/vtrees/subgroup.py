@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .treespace import (
     BoundaryPoint,
@@ -85,9 +85,21 @@ def word_str(word: Word) -> str:
     return "*".join(out)
 
 
+# The spellings of the empty word, which no generator may take as its name.
+_IDENTITY_WORDS = ("", "id", "1")
+
+
+def _bad_name(name: str) -> bool:
+    """True for a generator name that ``parse_word`` would not read back from
+    ``word_str``: a spelling of the empty word, a name with surrounding
+    whitespace, or one holding ``*`` or ``^``."""
+    return (name in _IDENTITY_WORDS or name != name.strip()
+            or "*" in name or "^" in name)
+
+
 def parse_word(text: str) -> Word:
     text = text.strip()
-    if text in ("", "id", "1"):
+    if text in _IDENTITY_WORDS:
         return ()
     out = []
     for token in text.split("*"):
@@ -126,6 +138,9 @@ class GeneratingSet:
             raise ValueError("names and elements differ in length")
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
+        for name in names:
+            if _bad_name(name):
+                raise ValueError(f"bad generator name {name!r}")
         tg = elements[0].tg
         for e in elements:
             if e.tg != tg:
@@ -135,11 +150,6 @@ class GeneratingSet:
         self.names = tuple(names)
         self._letters = None
         self._table = None  # letter -> element, built with the letters
-
-    @staticmethod
-    def from_named(named: Mapping[str, Element]) -> "GeneratingSet":
-        items = list(named.items())
-        return GeneratingSet([e for _, e in items], [n for n, _ in items])
 
     def letters(self) -> tuple:
         """(word letter, element) for every generator and inverse, in
@@ -181,7 +191,7 @@ def parse_generating_set(tg: TypeGraph, text: str) -> GeneratingSet:
             raise FormatError(f"line {lineno}: expected 'name = pair{{...}}'")
         name, _, rest = line.partition("=")
         name = name.strip()
-        if not name or "*" in name or "^" in name:
+        if _bad_name(name):
             raise FormatError(f"line {lineno}: bad generator name {name!r}")
         try:
             elements.append(parse_element(tg, rest.strip()))
@@ -229,36 +239,6 @@ def enumerate_elements(s: GeneratingSet, budget: int) -> Iterator[tuple]:
         if not new:
             return
         frontier = new
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    """Outcome of scanning a subgroup for a non-elliptic element."""
-
-    all_elliptic: bool
-    witness: Element | None
-    witness_word: Word | None
-    checked: int
-    budget: int
-    exhausted: bool  # True when the whole subgroup was enumerated
-
-
-def all_elliptic_or_witness(s: GeneratingSet, budget: int) -> EllipticityReport:
-    """First non-elliptic element in enumeration order, or an exhaustion
-    report stating that everything up to the budget is elliptic."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    checked = 0
-    # one length further tells a finite closure (no longer element exists)
-    # from a budget cut
-    for word, e in enumerate_elements(s, budget + 1):
-        if len(word) > budget:
-            return EllipticityReport(True, None, None, checked, budget,
-                                     exhausted=False)
-        checked += 1
-        if not revealing.is_elliptic(e):
-            return EllipticityReport(False, e, word, checked, budget, False)
-    return EllipticityReport(True, None, None, checked, budget, exhausted=True)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Clopen-set tries recurse along vertex depth, which grows with the depth of
@@ -61,7 +60,7 @@ class TypeGraph:
     """
 
     __slots__ = ("children", "root_type", "types", "_key", "_ordered_color",
-                 "_unordered_color", "_singleton_types", "_hash")
+                 "_singleton_types", "_hash")
 
     def __init__(self, children: Mapping[str, Sequence[str]], root_type: str):
         kids = {str(t): tuple(str(c) for c in cs) for t, cs in children.items()}
@@ -82,8 +81,7 @@ class TypeGraph:
         self.types = tuple(sorted(kids))
         self._key = (tuple((t, kids[t]) for t in self.types), root_type)
         self._hash = hash(self._key)
-        self._ordered_color = self._refine(ordered=True)
-        self._unordered_color = self._refine(ordered=False)
+        self._ordered_color = self._refine()
         self._singleton_types = self._find_singletons()
 
     def __eq__(self, other: object) -> bool:
@@ -117,18 +115,15 @@ class TypeGraph:
             t = cs[i]
         return True
 
-    def _refine(self, ordered: bool) -> dict:
+    def _refine(self) -> dict:
         # Partition refinement: two types get the same color iff their
-        # unrollings are isomorphic as rooted trees (respecting child order
-        # when ordered=True, allowing any child matching otherwise).
+        # unrollings are isomorphic as ordered rooted trees, the i-th child
+        # matched with the i-th child.
         color = {t: 0 for t in self.types}
         while True:
             sigs = {}
             for t in self.types:
-                kid_colors = tuple(color[c] for c in self.children[t])
-                if not ordered:
-                    kid_colors = tuple(sorted(kid_colors))
-                sigs[t] = (color[t], kid_colors)
+                sigs[t] = (color[t], tuple(color[c] for c in self.children[t]))
             remap: dict = {}
             new = {}
             for t in self.types:
@@ -159,10 +154,6 @@ class TypeGraph:
     def is_singleton_type(self, t: str) -> bool:
         return t in self._singleton_types
 
-    def to_json(self) -> dict:
-        return {"types": {t: list(self.children[t]) for t in self.types},
-                "root": self.root_type}
-
 
 def load_type_graph(text: str) -> TypeGraph:
     """Parse a type graph from its JSON description.
@@ -184,14 +175,6 @@ def load_type_graph(text: str) -> TypeGraph:
         if not isinstance(cs, list):
             raise FormatError(f'children of type {t!r} must be an array')
     return TypeGraph(types, doc["root"])
-
-
-def subtree_isomorphic(tg: TypeGraph, s: str, t: str) -> bool:
-    """True iff the trees unrolled below types s and t are isomorphic as
-    rooted trees, children matched by an arbitrary bijection."""
-    if s not in tg.children or t not in tg.children:
-        raise ValueError(f"undeclared type: {s!r} or {t!r}")
-    return tg._unordered_color[s] == tg._unordered_color[t]
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +439,9 @@ def parse_eps(text: str) -> Fraction:
 # True itself, and one whose child is a proper tuple stays a 1-tuple.  This
 # makes the representation canonical: two clopen sets denote the same subset
 # of the boundary iff their tries are equal.  Only the builder,
-# ``_node_build``, reads the type graph; every other operation, the shape
-# fill ``_node_fill`` of ``apply_clopen`` included, reads the tries alone.
+# ``_node_build``, reads the type graph: it makes a trie from ball addresses
+# and merges no tries.  Every other operation, the shape fill ``_node_fill``
+# of ``apply_clopen`` included, reads the tries alone.
 
 
 def _node_merge(a, b, top: bool):
@@ -488,41 +472,35 @@ def _node_subset(a, b) -> bool:
     return all(_node_subset(x, y) for x, y in zip(a, b))
 
 
-def _node_build(tg: TypeGraph, pieces: Iterable[tuple]):
-    """The trie of the union of ``(address, sub)`` pieces, each the trie
-    ``sub`` below the vertex ``address``; an empty ``sub`` adds nothing.
+def _node_build(tg: TypeGraph, addresses: Iterable[Sequence[int]]):
+    """The trie of the union of the balls at ``addresses``.
 
-    One pass over the pieces sorted by address keeps the open vertices on a
-    path: each trie vertex is opened and closed once, a piece below a full
-    ball is skipped, and only two proper tries at one address are merged.
-    Each index is checked as the walk reaches it, and below a full ball the
-    rest of the address is walked; when a check fails, the ValueError names
-    the first invalid address in input order.
+    One pass over the addresses in sorted order keeps the open vertices on a
+    path: each trie vertex is opened, as a row of empty children, and closed
+    once, and a ball below a full ball is skipped.  Each index is checked as
+    the walk reaches it, and below a full ball the rest of the address is
+    walked; when a check fails, the ValueError names the first invalid
+    address in input order.
     """
-    pieces = [(tuple(a), sub) for a, sub in pieces if sub is not False]
-    ordered = sorted(pieces, key=itemgetter(0))
-    children = tg.children
-    root = False
-    k = 0
-    for a, sub in ordered:  # the pieces at the root come first
-        if a:
-            break
-        root = _node_merge(root, sub, True)
-        k += 1
-    if root is True:
-        if all(tg.is_valid_address(a) for a, _ in pieces):
+    addresses = [tuple(a) for a in addresses]
+    ordered = sorted(addresses)
+    if not ordered:
+        return False
+    if not ordered[0]:  # the root ball sorts first and is the whole boundary
+        if all(tg.is_valid_address(a) for a in addresses):
             return True
-        raise _invalid_address(tg, pieces)
+        raise _invalid_address(tg, addresses)
+    children = tg.children
     # rows[m] is the children list of the open vertex path[:m], and
     # kinds[m] the child types of that vertex.  A row's count compares with
     # ==, which is exact here: a row holds only True, False and tuples.
     kinds = [children[tg.root_type]]
-    rows = [list(root) if root is not False else [False] * len(kinds[0])]
+    rows = [[False] * len(kinds[0])]
     path = ()
     # An index past its vertex's arity raises IndexError; a negative one,
     # which Python would read from the end, raises it explicitly.
     try:
-        for a, sub in ordered[k:]:
+        for a in ordered:
             last = len(a) - 1
             n = len(path)
             if n > last or a[:n] != path:  # close the vertices below path[:n]
@@ -538,10 +516,9 @@ def _node_build(tg: TypeGraph, pieces: Iterable[tuple]):
             cs = kinds[n]
             while n < last:
                 i = a[n]
-                node = row[i]
                 if i < 0:
                     raise IndexError
-                if node is True:  # below a full ball: check the rest of a
+                if row[i] is True:  # below a full ball: check the rest of a
                     t = cs[i]
                     for j in a[n + 1:]:
                         if j < 0:
@@ -549,7 +526,7 @@ def _node_build(tg: TypeGraph, pieces: Iterable[tuple]):
                         t = children[t][j]
                     break
                 cs = children[cs[i]]
-                row = list(node) if node is not False else [False] * len(cs)
+                row = [False] * len(cs)
                 rows.append(row)
                 kinds.append(cs)
                 n += 1
@@ -557,23 +534,21 @@ def _node_build(tg: TypeGraph, pieces: Iterable[tuple]):
                 i = a[last]
                 if i < 0:
                     raise IndexError
-                row[i] = _node_merge(row[i], sub, True)
+                row[i] = True
             path = a[:n]
     except IndexError:
-        raise _invalid_address(tg, pieces) from None
+        raise _invalid_address(tg, addresses) from None
     for m in range(len(path) - 1, -1, -1):
         row = rows.pop()
         rows[m][path[m]] = True if row.count(True) == len(row) else tuple(row)
     row = rows[0]
-    if row.count(False) == len(row):
-        return False
     return True if row.count(True) == len(row) else tuple(row)
 
 
-def _invalid_address(tg: TypeGraph, pieces: list) -> ValueError:
-    """The error naming the first invalid address of ``pieces``, in input
+def _invalid_address(tg: TypeGraph, addresses: list) -> ValueError:
+    """The error naming the first invalid address of ``addresses``, in input
     order: as digits, or as the tuple when an index has no digit."""
-    a = next(a for a, _ in pieces if not tg.is_valid_address(a))
+    a = next(a for a in addresses if not tg.is_valid_address(a))
     name = address_str(a) if all(0 <= i < MAX_ARITY for i in a) else a
     return ValueError(f"invalid address {name!r}")
 
@@ -629,7 +604,7 @@ class ClopenSet:
 
     @staticmethod
     def from_balls(tg: TypeGraph, addresses: Iterable[Sequence[int]]) -> "ClopenSet":
-        return ClopenSet(tg, _node_build(tg, ((a, True) for a in addresses)))
+        return ClopenSet(tg, _node_build(tg, addresses))
 
     def _check(self, other: "ClopenSet") -> None:
         if self.tg != other.tg:

@@ -175,20 +175,9 @@ def unroll(tg, t: str, depth: int):
     return tuple(unroll(tg, c, depth - 1) for c in tg.children[t])
 
 
-def unordered_canon(tree):
-    if tree == "*":
-        return "*"
-    return tuple(sorted(unordered_canon(c) for c in tree))
-
-
-def iso_to_depth(tg, s: str, t: str, depth: int) -> bool:
-    """Rooted-tree isomorphism of the depth-d unrollings, children matched
-    by any bijection."""
-    return unordered_canon(unroll(tg, s, depth)) == \
-        unordered_canon(unroll(tg, t, depth))
-
-
 def order_iso_to_depth(tg, s: str, t: str, depth: int) -> bool:
+    """Ordered rooted-tree isomorphism of the depth-d unrollings, the i-th
+    child matched with the i-th child."""
     return unroll(tg, s, depth) == unroll(tg, t, depth)
 
 

@@ -326,6 +326,18 @@ def test_malformed_type_graph_root_exits_3(files, capsys, tmp_path, root):
     assert code == 3 and out == "" and "input error" in err
 
 
+@pytest.mark.parametrize("name", ["id", "1"])
+def test_a_generator_named_as_the_empty_word_exits_3(files, capsys, tmp_path,
+                                                    name):
+    # orbit words would print the same word for the seed and its image
+    gens = tmp_path / "gens.txt"
+    gens.write_text(f"{name} = {SIGMA}\n")
+    code, out, err = run_cli(["orbit", "--tree", str(files / "binary.json"),
+                              "--gens", str(gens), "(0)^inf"], capsys)
+    assert code == 3 and out == ""
+    assert f"line 1: bad generator name {name!r}" in err
+
+
 WITNESS = {"g": SIGMA, "h": SIGMA, "g_word": "a", "h_word": "b",
            "U1": ["00"], "V1": ["01"], "U2": ["10"], "V2": ["11"]}
 

@@ -1,10 +1,11 @@
 """Clopen sets built in one sorted pass, their images, and their listing.
 
 ``ClopenSet.from_balls``, ``ClopenSet.ball`` and ``epsilon_neighborhood``
-build their tries with ``treespace._node_build``, which checks each address
-as its walk reaches it; ``Element.apply_clopen`` fills the range shape of the
-pair with ``treespace._node_fill``.  Each is compared with a reference kept
-here, which grafts one ball at a time and folds the grafts with ``union``.
+build their tries with ``treespace._node_build``, which takes ball addresses
+only and checks each address as its walk reaches it; ``Element.apply_clopen``
+fills the range shape of the pair with ``treespace._node_fill``.  Each is
+compared with a reference kept here, which grafts one piece (a ball, or the
+part of a set below one leaf) at a time and folds the grafts with ``union``.
 Invalid addresses must give the error of an input-order scan.  Listing is
 compared with a listing that copies the address at every level, and
 membership and ``full_depth`` with the input balls, a plain prefix walk and
@@ -27,7 +28,7 @@ from vtrees import (
     eventually_periodic_witness,
     random_element,
 )
-from vtrees.treespace import MAX_ARITY, _node_build, address_str
+from vtrees.treespace import MAX_ARITY, address_str
 
 from conftest import child_env
 from oracles import contains_point_bruteforce
@@ -260,21 +261,6 @@ def test_apply_clopen_matches_one_leaf_at_a_time(tree, raw, carets, seed, probes
     for p, cyc in probes:
         x = point(tg, p, cyc)
         assert image.contains_point(g.apply_point(x)) == c.contains_point(x)
-
-
-@EXAMPLES
-@given(tree=st.sampled_from(sorted(TREES)),
-       raw=st.lists(digit_lists, max_size=6),
-       sets=st.lists(st.lists(digit_lists, max_size=4), min_size=1, max_size=3))
-def test_build_merges_overlapping_pieces(tree, raw, sets):
-    # Every address twice, each time with the part of another set below it:
-    # equal, nested and full pieces, and proper tries at one address.
-    tg = GRAPHS[tree]
-    clopens = [ClopenSet.from_balls(tg, [walk(tg, (), r) for r in s]) for s in sets]
-    addresses = [walk(tg, (), r) for r in raw] * 2
-    pieces = [(a, trie_at(clopens[k % len(clopens)].node, a))
-              for k, a in enumerate(addresses)]
-    assert ClopenSet(tg, _node_build(tg, pieces)) == reference_union(tg, pieces)
 
 
 # ---------------------------------------------------------------------------

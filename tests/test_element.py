@@ -16,7 +16,6 @@ from vtrees import (
     compose,
     element_from_map,
     enumerate_elements,
-    expand,
     format_element,
     identity,
     load_type_graph,
@@ -178,28 +177,21 @@ def test_ray_tree_normal_form_identifies_singleton_shifts(ray):
 
 
 # ---------------------------------------------------------------------------
-# expand
+# expand_pair
 
 
 def test_expand_pinned(binary, x0):
-    p = expand(identity(binary), ())
+    p = expand_pair(identity(binary).pair, ())
     assert p.domain_leaves == ((0,), (1,))
     q = make_element(p)
     p2 = expand_pair(p, (0,))
     assert p2.domain_leaves == ((0, 0), (0, 1), (1,))
     assert p2.leaf_map() == {(0, 0): (0, 0), (0, 1): (0, 1), (1,): (1,)}
 
-    px = expand(x0, (1,))
+    px = expand_pair(x0.pair, (1,))
     assert px.domain_leaves == ((0, 0), (0, 1), (1, 0), (1, 1))
     assert px.range_leaves == ((0,), (1, 0), (1, 1, 0), (1, 1, 1))
     assert make_element(px) == x0
-
-
-def test_expand_rejects_non_leaf(x0):
-    with pytest.raises(ValueError):
-        expand(x0, (0, 0, 0))
-    with pytest.raises(ValueError):
-        expand(x0, (0,))
 
 
 TREES = {name: load_type_graph(spec) for name, spec in

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,6 @@ from vtrees import (
     Budgets,
     ClopenSet,
     GeneratingSet,
-    all_elliptic_or_witness,
     boundary_point,
     builtin_generators,
     common_admissible_partition,
@@ -18,6 +18,7 @@ from vtrees import (
     finite_closure,
     format_generating_set,
     identity,
+    is_elliptic,
     load_type_graph,
     orbit,
     parse_generating_set,
@@ -85,6 +86,44 @@ def test_evaluate_reads_one_letter_table(x0, sigma):
     assert s.evaluate(parse_word("x0^-1")) is letters[1][1]
 
 
+SIGMA = "pair{domain=[0,1], range=[0,1], perm=[1,0]}"
+
+
+@pytest.mark.parametrize("name, in_a_file", [
+    ("id", True), ("1", True), ("", True), ("a*b", True), ("a^2", True),
+    (" a", False), ("a\t", False)])
+def test_bad_generator_names_are_rejected_both_ways(binary, sigma, name,
+                                                    in_a_file):
+    # a name that spells the empty word, or that parse_word would split or
+    # strip, could not be read back from a word that holds it
+    with pytest.raises(ValueError, match="bad generator name"):
+        GeneratingSet([sigma], [name])
+    if in_a_file:  # a file's names are stripped, so they hold no whitespace
+        with pytest.raises(FormatError, match=re.escape(
+                f"line 2: bad generator name {name!r}")):
+            parse_generating_set(binary, f"s = {SIGMA}\n{name} = {SIGMA}\n")
+
+
+NAMES = st.text(alphabet="id1x *^\t", max_size=3)
+ONE = identity(load_type_graph(BINARY_SPEC))
+
+
+def accepted(name) -> bool:
+    try:
+        GeneratingSet([ONE], [name])
+    except ValueError:
+        return False
+    return True
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(letters=st.lists(st.tuples(NAMES.filter(accepted),
+                                  st.sampled_from([1, -1])), max_size=6))
+def test_words_over_accepted_names_read_back(letters):
+    w = tuple(letters)
+    assert parse_word(word_str(w)) == w
+
+
 def test_generating_set_file_roundtrip(binary, v_gens):
     text = format_generating_set(v_gens)
     back = parse_generating_set(binary, text)
@@ -129,49 +168,6 @@ def test_enumerate_deduplicates_and_is_deterministic(v_gens):
     table = dict(zip(v_gens.names, v_gens.elements))
     for w, e in enumerate_elements(v_gens, 3):
         assert v_gens.evaluate(w) == e
-
-
-# ---------------------------------------------------------------------------
-# Ellipticity scan
-
-
-def test_all_elliptic_sigma_tau(sigma, tau):
-    s = GeneratingSet([sigma, tau], ["sigma", "tau"])
-    rep = all_elliptic_or_witness(s, 10)
-    assert rep.all_elliptic and rep.witness is None
-    assert rep.exhausted  # the whole finite closure was enumerated
-
-
-def test_nonelliptic_witness_x0(x0):
-    s = GeneratingSet([x0], ["x0"])
-    rep = all_elliptic_or_witness(s, 4)
-    assert not rep.all_elliptic
-    assert rep.witness == x0
-    assert word_str(rep.witness_word) == "x0"
-
-
-def test_all_elliptic_identity(binary):
-    s = GeneratingSet([identity(binary)], ["e"])
-    rep = all_elliptic_or_witness(s, 3)
-    assert rep.all_elliptic and rep.exhausted
-
-
-def test_ellipticity_exhaustion_matches_longer_enumeration(sigma, tau, x0):
-    # exhausted means no element of length budget + 1 exists
-    for s in (GeneratingSet([sigma, tau], ["s", "t"]),
-              GeneratingSet([sigma], ["s"]),
-              GeneratingSet([x0.power(2).inverse()], ["y"])):
-        for budget in range(6):
-            rep = all_elliptic_or_witness(s, budget)
-            upto = sum(1 for _ in enumerate_elements(s, budget))
-            longer = sum(1 for _ in enumerate_elements(s, budget + 1))
-            if rep.all_elliptic:
-                assert rep.checked == upto
-                assert rep.exhausted == (longer == upto)
-    assert not all_elliptic_or_witness(
-        GeneratingSet([sigma, tau], ["s", "t"]), 2).exhausted
-    with pytest.raises(ValueError):
-        all_elliptic_or_witness(GeneratingSet([sigma], ["s"]), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +250,10 @@ def test_closure_at_the_group_order(sigma, tau):
     s = GeneratingSet([sigma, tau], ["s", "t"])
     assert len(assert_closure_matches_bfs(s, 8)) == 8
     assert assert_closure_matches_bfs(s, 7) is None
-
-
-def test_ellipticity_exhaust_implies_finite_closure(sigma, tau, binary):
-    # cross-check: a scan that exhausts at some budget means the closure is
-    # finite and the closure then succeeds
-    s = GeneratingSet([sigma, tau], ["s", "t"])
-    rep = all_elliptic_or_witness(s, 12)
-    assert rep.all_elliptic and rep.exhausted
-    assert finite_closure(s, 512) is not None
+    # a larger bound finds the same finite group, all of it elliptic
+    closure = finite_closure(s, 512)
+    assert len(closure) == 8
+    assert all(is_elliptic(e) for e in closure.elements)
 
 
 # ---------------------------------------------------------------------------

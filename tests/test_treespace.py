@@ -20,7 +20,6 @@ from vtrees import (
     parse_point,
     point_is_isolated,
     random_element,
-    subtree_isomorphic,
     visual_distance,
 )
 from vtrees.treespace import (
@@ -35,7 +34,6 @@ from oracles import (
     addresses_at_depth,
     common_prefix_oracle,
     contains_point_bruteforce,
-    iso_to_depth,
     max_ball_depth,
     order_iso_to_depth,
     parse_pair_strmap,
@@ -92,32 +90,26 @@ def test_load_rejects_malformed():
 # Subtree isomorphism
 
 
-def test_subtree_isomorphic_binary(binary):
-    assert subtree_isomorphic(binary, "b", "b")
-
-
 def test_subtree_isomorphic_arity_mismatch(ray):
     # expected value frozen from the depth-2 unrolling oracle
-    assert iso_to_depth(ray, "a", "b", 2) is False
-    assert subtree_isomorphic(ray, "a", "b") is False
+    assert order_iso_to_depth(ray, "a", "b", 2) is False
+    assert not ray.subtree_order_isomorphic("a", "b")
 
 
 def test_subtree_isomorphic_unordered_but_not_ordered():
     # x and y have the same children up to swapping, with p (binary) and
-    # q (a ray) non-isomorphic, so unordered isomorphism holds and the
-    # ordered one fails; both frozen from the depth-4 unrolling oracle.
+    # q (a ray) non-isomorphic, so only the unordered isomorphism holds;
+    # frozen from the depth-4 unrolling oracle.
     tg = TypeGraph({"x": ["p", "q"], "y": ["q", "p"],
                     "p": ["p", "p"], "q": ["q"]}, "x")
-    assert iso_to_depth(tg, "x", "y", 4) is True
     assert order_iso_to_depth(tg, "x", "y", 4) is False
-    assert subtree_isomorphic(tg, "x", "y") is True
     assert not tg.subtree_order_isomorphic("x", "y")
-    assert subtree_isomorphic(tg, "p", "q") is False
 
 
-def test_subtree_isomorphic_matches_oracle_on_random_graphs():
+def test_subtree_order_isomorphic_matches_oracle_on_random_graphs():
     rng = random.Random(5)
     names = ["t0", "t1", "t2", "t3"]
+    positives = 0
     for _ in range(25):
         children = {t: [rng.choice(names) for _ in range(rng.randint(1, 3))]
                     for t in names}
@@ -125,12 +117,10 @@ def test_subtree_isomorphic_matches_oracle_on_random_graphs():
         for s in names:
             for t in names:
                 # depth 8 is far beyond stabilisation for 4 types
-                assert subtree_isomorphic(tg, s, t) == iso_to_depth(tg, s, t, 8)
-
-
-def test_subtree_isomorphic_rejects_undeclared(binary):
-    with pytest.raises(ValueError):
-        subtree_isomorphic(binary, "b", "nope")
+                iso = order_iso_to_depth(tg, s, t, 8)
+                assert tg.subtree_order_isomorphic(s, t) == iso
+                positives += iso and s != t
+    assert positives == 94  # the draw holds isomorphic pairs of distinct types
 
 
 # ---------------------------------------------------------------------------
