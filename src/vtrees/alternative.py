@@ -149,9 +149,11 @@ def _contraction(hs: Sequence[Element], eps: Fraction,
                  powers: dict) -> ProximalContraction:
     """``proximal_contraction`` with a memo of the contributors' powers:
     ``powers[h, p]`` is h^p for h's isometric power m and a multiple p of
-    m, built once as (h^m)^(p/m).  One ping-pong construction hands the
-    same memo to both of its contractions (docs/dynamics_notes.md, section
-    5: the memo changes no element, word or stage)."""
+    m.  It holds the squarings (h^m)^(2^k) and every factor (h^m)^t built
+    from them, low bits first as ``Element.power`` builds it.  One
+    ping-pong construction hands the same memo to both of its contractions,
+    so the second reuses the first one's squarings (docs/dynamics_notes.md,
+    section 5: the memo changes no element, word or stage)."""
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one element")
@@ -177,11 +179,17 @@ def _contraction(hs: Sequence[Element], eps: Fraction,
     start = target.complement()
 
     def factor(h, m: int, t: int) -> Element:
-        """h^(m*t), from the memo or as (h^m)^t."""
-        if (h, m) not in powers:
-            powers[h, m] = h.power(m)
+        """h^(m*t), from the memo or as the product of the squarings
+        h^(m*2^k) over the bits k of t, low bits first."""
         if (h, m * t) not in powers:
-            powers[h, m * t] = powers[h, m].power(t)
+            out = identity(tg)
+            for k in range(t.bit_length()):
+                if (h, m << k) not in powers:
+                    half = powers[h, m << (k - 1)] if k else None
+                    powers[h, m << k] = compose(half, half) if k else h.power(m)
+                if t >> k & 1:
+                    out = compose(powers[h, m << k], out)
+            powers[h, m * t] = out
         return powers[h, m * t]
 
     minimums = [1] * len(hs)
@@ -253,7 +261,9 @@ def _first_moving_off(s: GeneratingSet, budget: int, a_points, b_points,
     The least word of a tuple has the least word of its suffix's tuple as
     suffix, so the first word found is the first element of the shortlex
     enumeration that works (docs/dynamics_notes.md, section 3).  Only that
-    word is composed.  Tuples hold point ids of ``images``.
+    word is composed.  Tuples hold point ids of ``images``; a level reads
+    each tuple's rows once, at the tuple's first use, so rows are first
+    read in the same order as one read per letter would read them.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
@@ -266,12 +276,16 @@ def _first_moving_off(s: GeneratingSet, budget: int, a_points, b_points,
     level = [((), start)]
     for _ in range(budget):
         new = []
+        rows = [None] * len(level)  # each tuple's rows, read at first use
         for i, (letter, _) in enumerate(images.letters):
             inverse = (letter[0], -letter[1])
-            for word, t in level:
+            for n, (word, t) in enumerate(level):
                 if word and word[0] == inverse:
                     continue  # a free reduction has an earlier tuple
-                u = tuple([row(p)[i] for p in t])
+                r = rows[n]
+                if r is None:
+                    r = rows[n] = [row(p) for p in t]
+                u = tuple([x[i] for x in r])
                 if u in seen:
                     continue
                 seen.add(u)

@@ -223,9 +223,12 @@ def _collapse_fake_chains(pair: TreePair) -> TreePair:
 
     Such a chain runs along an arity-1 ray, so the far endpoint can be slid
     back to the chain's base vertex without changing the element; the whole
-    component it certified disappears with it.
+    component it certified disappears with it.  Without a singleton type
+    there is no such chain, and the pair is returned as it is.
     """
     tg = pair.tg
+    if not tg._singleton_types:
+        return pair
     while True:
         kappa = pair.leaf_map()
         for c in chains(pair):

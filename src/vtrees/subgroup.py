@@ -91,10 +91,13 @@ _IDENTITY_WORDS = ("", "id", "1")
 
 def _bad_name(name: str) -> bool:
     """True for a generator name that ``parse_word`` would not read back from
-    ``word_str``: a spelling of the empty word, a name with surrounding
-    whitespace, or one holding ``*`` or ``^``."""
+    ``word_str``, or ``parse_generating_set`` from ``format_generating_set``:
+    a spelling of the empty word, a name with surrounding whitespace, one
+    holding ``*``, ``^`` or ``=``, one starting a comment with ``#``, or one
+    that ``str.splitlines`` splits."""
     return (name in _IDENTITY_WORDS or name != name.strip()
-            or "*" in name or "^" in name)
+            or "*" in name or "^" in name or "=" in name
+            or name.startswith("#") or name.splitlines() != [name])
 
 
 def parse_word(text: str) -> Word:

@@ -29,6 +29,8 @@ from vtrees import (
     word_str,
 )
 
+import vtrees.alternative as alternative
+
 from conftest import sample_elements
 from oracles import pingpong_oracle
 
@@ -137,16 +139,16 @@ def wide_pingpong_case():
 
 def contractions_of_one_construction(monkeypatch, s, budgets):
     """The arguments and results of the contractions of one
-    ``build_pingpong``, and the (element, exponent) of every
-    ``Element.power`` call made during it."""
-    import vtrees.alternative as alternative
-    calls, powers = [], []
+    ``build_pingpong``, the (element, exponent) of every ``Element.power``
+    call made during it, and the memo the contractions share."""
+    calls, powers, memos = [], [], []
     contraction = alternative._contraction
     power = Element.power
 
     def recording_contraction(hs, eps, words, reports, memo):
         pc = contraction(hs, eps, words, reports, memo)
         calls.append((list(hs), eps, words, reports, pc))
+        memos.append(memo)
         return pc
 
     def recording_power(self, n):
@@ -158,29 +160,48 @@ def contractions_of_one_construction(monkeypatch, s, budgets):
     w = build_pingpong(s, budgets)
     monkeypatch.undo()
     assert w is not None
-    return calls, powers
+    assert len(memos) == 2 and memos[0] is memos[1]
+    return calls, powers, memos[0]
 
 
 @pytest.mark.parametrize("case", ["V", "wide"])
 def test_pingpong_contractions_share_powers(monkeypatch, v_gens, case):
     s, budgets = ((v_gens, Budgets()) if case == "V"
                   else wide_pingpong_case())
-    calls, powers = contractions_of_one_construction(monkeypatch, s, budgets)
+    calls, powers, memo = contractions_of_one_construction(monkeypatch, s,
+                                                           budgets)
     assert len(calls) == 2  # c1 and c2
     hs, _, _, reports, _ = calls[0]
     assert all(c[0] == hs and c[3] == reports for c in calls)
     for h, rep in zip(hs, reports):
-        # h^m is built once for both contractions
-        assert powers.count((h, rep.isometric_power)) <= 1
-    # and so is every factor (h^m)^t
-    assert len(set(powers)) == len(powers)
+        # h^m is built once for both contractions, and the rest from it
+        assert powers.count((h, rep.isometric_power)) == 1
+    assert len(powers) == len(hs)
     if case == "wide":
         assert len(hs) == 3
         assert sorted(rep.isometric_power for rep in reports) == [1, 2, 2]
     for hs, eps, words, reports, pc in calls:
-        # each equals the reference, and a contraction with its own memo
+        # each equals the reference, a contraction with its own memo, and
+        # one handed the construction's memo with all its squarings
         assert_transcript(pc, hs, words)
         assert pc == proximal_contraction(hs, eps, words, reports)
+        assert pc == alternative._contraction(hs, eps, words, reports,
+                                              dict(memo))
+
+
+@pytest.mark.parametrize("case", ["V", "wide"])
+def test_contraction_memo_entries_are_powers(monkeypatch, v_gens, case):
+    s, budgets = ((v_gens, Budgets()) if case == "V"
+                  else wide_pingpong_case())
+    calls, _, memo = contractions_of_one_construction(monkeypatch, s, budgets)
+    hs, _, _, reports, _ = calls[0]
+    for (h, p), e in memo.items():
+        assert e == h.power(p)
+    # the memo holds the squarings (h^m)^(2^k) below each factor's top bit
+    for h, rep in zip(hs, reports):
+        m = rep.isometric_power
+        top = max(p for g, p in memo if g == h) // m
+        assert all((h, m << k) in memo for k in range(top.bit_length()))
 
 
 def test_proximal_deeper_radius_needs_higher_power(x0):
@@ -503,7 +524,6 @@ def test_closure_certificate_cannot_succeed_within_orbit_budget(binary, wide):
 
 
 def test_driver_uses_no_closure(sigma, monkeypatch):
-    import vtrees.alternative as alternative
     import vtrees.subgroup as subgroup
     from vtrees import parse_element
 
@@ -529,7 +549,6 @@ def test_larger_probe_skips_known_overflows(monkeypatch):
     # that an earlier closure_size search of the same call overflowed
     # through, and skipping those probes changes no output.  The memo is
     # measured alone, with the generators' escape data emptied.
-    import vtrees.alternative as alternative
     from test_dichotomy_golden import BINARY, WIDE, verdict_text, with_carets
     budgets = Budgets(word_length=4, orbit_size=16, closure_size=64)
     rng = random.Random(2)
@@ -579,7 +598,6 @@ def test_larger_probe_skips_known_overflows(monkeypatch):
 
 
 def test_round_cap_ends_in_undecided(v_gens, monkeypatch):
-    import vtrees.alternative as alternative
     from vtrees import BudgetExceeded
     monkeypatch.setattr(alternative, "_ROUND_CAP", 0)
     with pytest.raises(BudgetExceeded):
@@ -610,7 +628,6 @@ def test_bfs_node_cap_ends_in_undecided(x0, x1, sigma, monkeypatch):
 
 
 def test_a_run_reveals_each_element_once(v_gens, monkeypatch):
-    import vtrees.alternative as alternative
     revealed = []
 
     def logged(g):

@@ -338,6 +338,18 @@ def test_a_generator_named_as_the_empty_word_exits_3(files, capsys, tmp_path,
     assert f"line 1: bad generator name {name!r}" in err
 
 
+@pytest.mark.parametrize("name", ["a=b", "#a", "a\nb", "a\x0bb"])
+def test_a_line_for_a_name_no_file_can_hold_exits_3(files, capsys, tmp_path,
+                                                   name):
+    # the line splits at the "=", reads as a comment or breaks in two, so
+    # no generator of that name is read
+    gens = tmp_path / "gens.txt"
+    gens.write_text(f"{name} = {SIGMA}\n", newline="")
+    code, out, err = run_cli(["orbit", "--tree", str(files / "binary.json"),
+                              "--gens", str(gens), "(0)^inf"], capsys)
+    assert code == 3 and out == "" and "input error" in err
+
+
 WITNESS = {"g": SIGMA, "h": SIGMA, "g_word": "a", "h_word": "b",
            "U1": ["00"], "V1": ["01"], "U2": ["10"], "V2": ["11"]}
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from vtrees import (
     ClopenSet,
     Element,
+    TypeGraph,
     boundary_point,
     chains,
     compose,
@@ -27,6 +28,7 @@ from vtrees import (
     recheck_hyp_certificate,
     reveal,
 )
+import vtrees.revealing as revealing
 from vtrees.element import expand_pair
 from vtrees.revealing import report_from_revealing
 from vtrees.treespace import is_prefix
@@ -363,6 +365,53 @@ def test_report_on_raw_pair_swap_of_isolated_points(ray):
     assert rep.stable.is_all()
     assert rep.isometric_power == 2
     assert compose(h, h).is_identity()
+
+
+class _TruthyEmpty(frozenset):
+    """No singleton type, in a set that reads as nonempty: ``reveal`` then
+    runs the fake-chain pass that it skips on an empty set."""
+
+    def __bool__(self):
+        return True
+
+
+def counted_chains(builds: list):
+    chains_ = revealing.chains
+
+    def counted(pair):
+        builds.append(pair)
+        return chains_(pair)
+    return counted
+
+
+@settings(database=None, derandomize=True, max_examples=100, deadline=None)
+@given(tree=st.sampled_from(["binary", "wide"]), size=st.integers(2, 12),
+       seed=st.integers(0, 2 ** 32))
+def test_skipping_the_fake_chain_pass_changes_nothing(tree, size, seed):
+    tg = TypeGraph(TREES[tree].children, TREES[tree].root_type)  # to patch
+    g = random_element(tg, size, seed)
+    builds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(revealing, "chains", counted_chains(builds))
+        skipped = reveal(g), dynamics(g)
+        n = len(builds)
+        mp.setattr(tg, "_singleton_types", _TruthyEmpty())
+        ran = reveal(g), dynamics(g)
+    assert ran == skipped
+    # the pass ran once in each of the two reveals, changing nothing
+    assert len(builds) == 2 * n + 2
+
+
+def test_the_fake_chain_pass_runs_on_the_ray_tree(monkeypatch, ray, binary):
+    h = element_from_map(ray, {(0, 0): (0, 0), (0, 1): (1,), (1,): (0, 1)})
+    builds = []
+    monkeypatch.setattr(revealing, "chains", counted_chains(builds))
+    for e, count in ((h, 3), (identity(ray), 3), (identity(binary), 2)):
+        del builds[:]
+        reveal(e)
+        # the rolling loop's check, the pass on a tree with a singleton
+        # type, and the final re-check
+        assert len(builds) == count
 
 
 # ---------------------------------------------------------------------------

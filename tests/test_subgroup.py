@@ -124,6 +124,33 @@ def test_words_over_accepted_names_read_back(letters):
     assert parse_word(word_str(w)) == w
 
 
+@pytest.mark.parametrize("name", ["a=b", "#a", "a\nb", "a\x0bb"])
+def test_names_a_file_cannot_hold_are_rejected_both_ways(binary, sigma,
+                                                         name):
+    # a file line for the name would split at its "=", read as a comment,
+    # or break into two lines, so the name could not be read back
+    with pytest.raises(ValueError, match="bad generator name"):
+        GeneratingSet([sigma], [name])
+    try:
+        back = parse_generating_set(binary, f"{name} = {SIGMA}\n")
+    except FormatError:
+        return
+    assert name not in back.names
+
+
+FILE_NAMES = st.text(alphabet="ab=# \t\n\x0b\x1c\x85 ", min_size=1,
+                     max_size=4)
+
+
+@settings(database=None, derandomize=True, max_examples=300, deadline=None)
+@given(names=st.lists(FILE_NAMES.filter(accepted), min_size=1, max_size=3,
+                      unique=True))
+def test_accepted_names_read_back_from_a_file(names):
+    s = GeneratingSet([ONE] * len(names), names)
+    back = parse_generating_set(s.tg, format_generating_set(s))
+    assert back.names == s.names
+
+
 def test_generating_set_file_roundtrip(binary, v_gens):
     text = format_generating_set(v_gens)
     back = parse_generating_set(binary, text)
