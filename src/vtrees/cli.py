@@ -649,10 +649,7 @@ def main(argv=None) -> int:
         session = Session(rng_seed=args.seed, budgets=_budgets(args),
                           fmt=args.fmt)
         return _COMMANDS[args.command](session, args)
-    except FormatError as e:
-        sys.stderr.write(f"input error: {e}\n")
-        return EXIT_INPUT
-    except ValueError as e:
+    except ValueError as e:  # FormatError included
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_INPUT
     except BudgetExceeded as e:

@@ -282,9 +282,10 @@ class TreePair:
         return {u: self.range_leaves[pi]
                 for u, pi in zip(self.domain_leaves, self.perm)}
 
-    def __eq__(self, other: object) -> bool:
+    def __eq__(self, other: object) -> bool:  # flat: tuple == recurses
         return (isinstance(other, TreePair) and self.tg == other.tg
-                and self.domain == other.domain and self.range == other.range
+                and self.domain_leaves == other.domain_leaves
+                and self.range_leaves == other.range_leaves
                 and self.perm == other.perm)
 
     def __hash__(self) -> int:

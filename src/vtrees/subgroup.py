@@ -425,18 +425,6 @@ def _orbit_search(x: BoundaryPoint, s: GeneratingSet, bound: int,
 # Restriction to an invariant clopen
 
 
-def _clopen_shape(c: ClopenSet):
-    """The complete-subtree shape whose leaves are the maximal balls on
-    which c is constant."""
-
-    def walk(node):
-        if node is True or node is False:
-            return None
-        return tuple(walk(sub) for sub in node)
-
-    return walk(c.node)
-
-
 @dataclass(frozen=True)
 class RestrictedElement:
     """The transformation induced on an invariant clopen set.
@@ -495,7 +483,9 @@ def restrict(g: Element, w: ClopenSet) -> RestrictedElement:
     if g.apply_clopen(w) != w:
         raise ValueError("the clopen set is not invariant under the element")
     tg = g.tg
-    refined = shape_union(g.pair.domain, _clopen_shape(w))
+    # the shape whose leaves are the maximal balls on which w is constant
+    refined = shape_union(g.pair.domain, shape_from_leaves(
+        tg, w.balls() + w.complement().balls(), tg.root_type))
     kappa = graft_map(g.pair, lambda u, _: shape_at(refined, u))
     mapping = {u: v if ClopenSet.ball(tg, u).subset_of(w) else u
                for u, v in kappa.items()}

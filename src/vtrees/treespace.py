@@ -26,16 +26,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
-
-# Clopen-set tries recurse along vertex depth, which grows with the depth of
-# the tree pairs involved (large powers of one element reach a few thousand).
-# Python's tuple == recurses down a trie as well, so iterative node
-# operations alone would not make this limit unnecessary.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 50_000))
 
 Address = tuple  # tuple[int, ...]; () is the root
 
@@ -439,37 +432,51 @@ def parse_eps(text: str) -> Fraction:
 # True itself, and one whose child is a proper tuple stays a 1-tuple.  This
 # makes the representation canonical: two clopen sets denote the same subset
 # of the boundary iff their tries are equal.  Only the builder,
-# ``_node_build``, reads the type graph: it makes a trie from ball addresses
-# and merges no tries.  Every other operation, the shape fill ``_node_fill``
-# of ``apply_clopen`` included, reads the tries alone.
+# ``_node_build``, reads the type graph: it makes a trie from ball addresses.
+# Every other operation reads the tries alone, each in one explicit-stack
+# walk, as tries grow as deep as the pairs acting on them: ``_node_fill``
+# for ``apply_clopen``, and ``_node_combine`` for the Boolean algebra.
+
+# Truth tables f[x in a][x in b] of the set operations on a and b.
+_OR = ((False, True), (True, True))
+_AND = ((False, False), (False, True))
+_MINUS = ((False, False), (True, False))
+_XOR = ((False, True), (True, False))
 
 
-def _node_merge(a, b, top: bool):
-    """Union (top=True) or intersection (top=False) of two tries."""
-    if a is top or b is top:
-        return top
-    if a is (not top):
-        return b
-    if b is (not top):
-        return a
-    kids = tuple(_node_merge(x, y, top) for x, y in zip(a, b))
-    if all(k is top for k in kids):
-        return top
-    return kids
-
-
-def _node_complement(a):
-    if a is True or a is False:
-        return not a
-    return tuple(_node_complement(x) for x in a)
-
-
-def _node_subset(a, b) -> bool:
-    if a is False or b is True:
-        return True
-    if a is True or b is False:
-        return False  # b is a proper node, or a is nonempty
-    return all(_node_subset(x, y) for x, y in zip(a, b))
+def _node_combine(a, b, f, test: bool = False):
+    """The trie of {x : f[x in a][x in b]}, or with ``test`` whether it is
+    nonempty, stopping at the first nonempty part.  Below a full or empty
+    node on one side, f is a constant, the other side or its negation: the
+    walk stops at the first two, and under the third copies the full or
+    empty node down to each child."""
+    walks = [iter(((a, b),))]  # the node pairs still to visit of each vertex
+    rows: list = [[]]  # the combined children of each open vertex
+    while True:
+        for x, y in walks[-1]:
+            x_leaf, y_leaf = x is True or x is False, y is True or y is False
+            if x_leaf and y_leaf:
+                node = f[x][y]
+            elif x_leaf or y_leaf:  # f of the other side: lo if out, hi if in
+                lo, hi = f[x] if x_leaf else (f[0][y], f[1][y])
+                node = lo if lo is hi else (y if x_leaf else x) if hi else None
+            else:
+                node = None
+            if node is None:  # two tries, or a negation: copy the leaf down
+                walks.append(zip(itertools.repeat(x) if x_leaf else x,
+                                 itertools.repeat(y) if y_leaf else y))
+                rows.append([])
+                break
+            if test and node is not False:
+                return True
+            rows[-1].append(node)
+        else:
+            walks.pop()
+            row = rows.pop()
+            if not rows:  # the root pair's one node
+                return row[0]
+            rows[-1].append(False if row.count(False) == len(row) else True
+                            if row.count(True) == len(row) else tuple(row))
 
 
 def _node_build(tg: TypeGraph, addresses: Iterable[Sequence[int]]):
@@ -612,17 +619,18 @@ class ClopenSet:
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
         self._check(other)
-        return ClopenSet(self.tg, _node_merge(self.node, other.node, True))
+        return ClopenSet(self.tg, _node_combine(self.node, other.node, _OR))
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
         self._check(other)
-        return ClopenSet(self.tg, _node_merge(self.node, other.node, False))
+        return ClopenSet(self.tg, _node_combine(self.node, other.node, _AND))
 
     def complement(self) -> "ClopenSet":
-        return ClopenSet(self.tg, _node_complement(self.node))
+        return ClopenSet(self.tg, _node_combine(True, self.node, _MINUS))
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        return self.intersect(other.complement())
+        self._check(other)
+        return ClopenSet(self.tg, _node_combine(self.node, other.node, _MINUS))
 
     def is_empty(self) -> bool:
         return self.node is False
@@ -632,7 +640,11 @@ class ClopenSet:
 
     def subset_of(self, other: "ClopenSet") -> bool:
         self._check(other)
-        return _node_subset(self.node, other.node)
+        return not _node_combine(self.node, other.node, _MINUS, True)
+
+    def __eq__(self, other: object) -> bool:  # tuple == would recurse
+        return (isinstance(other, ClopenSet) and self.tg == other.tg
+                and not _node_combine(self.node, other.node, _XOR, True))
 
     # operator sugar
     __or__ = union

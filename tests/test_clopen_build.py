@@ -9,7 +9,11 @@ part of a set below one leaf) at a time and folds the grafts with ``union``.
 Invalid addresses must give the error of an input-order scan.  Listing is
 compared with a listing that copies the address at every level, and
 membership and ``full_depth`` with the input balls, a plain prefix walk and
-``oracles.contains_point_bruteforce``.
+``oracles.contains_point_bruteforce``.  The Boolean algebra, one walk down
+two tries (``treespace._node_combine``), is checked against membership in
+the ball lists its operands were built from, and its inclusion and equality
+tests against the listings.  Deep sets are checked in a child process at
+the interpreter's default recursion limit.
 """
 
 import subprocess
@@ -263,6 +267,59 @@ def test_apply_clopen_matches_one_leaf_at_a_time(tree, raw, carets, seed, probes
         assert image.contains_point(g.apply_point(x)) == c.contains_point(x)
 
 
+def listed_inside(a, b):
+    """a lies in b by the listings: each ball of a is below a ball of b.  A
+    ball inside b is below one of b's balls, since full sibling sets are
+    merged."""
+    return all(any(u[:len(w)] == w for w in b.balls()) for u in a.balls())
+
+
+@EXAMPLES
+@given(tree=st.sampled_from(["binary", "wide", "ray"]),
+       raw_a=st.lists(st.one_of(digit_lists, chain_lists), max_size=5),
+       raw_b=st.lists(st.one_of(digit_lists, chain_lists), max_size=5),
+       shared=st.lists(st.tuples(st.integers(0, 9), digit_lists), max_size=3),
+       probes=st.lists(st.tuples(digit_lists, digit_lists), max_size=6))
+@example(tree="ray", raw_a=[[0, 1]], raw_b=[[0, 0], [1]], shared=[],
+         probes=[([0, 0], [1])])
+def test_set_algebra_matches_the_ball_lists(tree, raw_a, raw_b, shared,
+                                            probes):
+    tg = GRAPHS[tree]
+    la = [walk(tg, (), r) for r in raw_a]
+    lb = [walk(tg, (), r) for r in raw_b]
+    # balls of b at, above or below balls of a
+    for k, r in shared:
+        if la:
+            u = la[k % len(la)]
+            lb.append(walk(tg, u[:k % (len(u) + 1)], r))
+    a, b = ClopenSet.from_balls(tg, la), ClopenSet.from_balls(tg, lb)
+    results = {"a": a, "b": b, "a|b": a | b, "a&b": a & b, "a-b": a - b,
+               "b-a": b - a, "~a": ~a, "~b": ~b}
+    member = {"a": lambda ia, ib: ia, "b": lambda ia, ib: ib,
+              "a|b": lambda ia, ib: ia or ib, "a&b": lambda ia, ib: ia and ib,
+              "a-b": lambda ia, ib: ia and not ib,
+              "b-a": lambda ia, ib: ib and not ia,
+              "~a": lambda ia, ib: not ia, "~b": lambda ia, ib: not ib}
+    for c in results.values():
+        canonical = ClopenSet.from_balls(tg, c.balls())
+        assert c.node == canonical.node and c == canonical
+    points = [point(tg, p, cyc) for p, cyc in probes]
+    points += [eventually_periodic_witness(tg, u) for u in la + lb]
+    depth = max((len(u) for u in la + lb), default=0)
+    for x in points:
+        ia = any(x.address_prefix(len(u)) == u for u in la)
+        ib = any(x.address_prefix(len(u)) == u for u in lb)
+        for name, c in results.items():
+            inside = member[name](ia, ib)
+            assert c.contains_point(x) == inside, name
+            assert contains_point_bruteforce(c, x, depth) == inside, name
+    for s in results.values():
+        for t in results.values():
+            assert (s <= t) == listed_inside(s, t)
+            assert (s == t) == (s.balls() == t.balls()) == (s.node == t.node)
+            assert s != t or hash(s) == hash(t)
+
+
 # ---------------------------------------------------------------------------
 # Errors and depth
 
@@ -298,21 +355,36 @@ def test_epsilon_neighborhood_rejects_a_point_of_another_tree(binary, wide):
         epsilon_neighborhood(wide, [x], Fraction(1, 2))
 
 
-# Listings are compared, not tries: tuple == recurses down a trie.
 DEEP_PAIR = """
-from vtrees import ClopenSet, TypeGraph, boundary_point, parse_element
+import sys
+limit = sys.getrecursionlimit()
+from vtrees import (ClopenSet, TypeGraph, boundary_point, builtin_generators,
+                    parse_element)
 from vtrees.treespace import address_str
+assert sys.getrecursionlimit() == limit  # importing leaves the limit alone
 d = 60_000
 tg = TypeGraph({"b": ["b", "b"]}, "b")
 c = ClopenSet.from_balls(tg, [(0,) * d, (0,) * (d - 1) + (1,)])
 assert c.ball_strs() == ["0" * (d - 1)]
 assert c.contains_point(boundary_point(tg, (), (0,)))
+a = ClopenSet.ball(tg, (0,) * d)
+b = ClopenSet.ball(tg, (0,) * (d - 1) + (1,))
+assert a | b == c and a | b != a and ClopenSet.ball(tg, (0,) * d) == a
+assert (a & b).is_empty() and (a & c) == a
+assert c - a == b and (c - b).ball_strs() == a.ball_strs()
+assert ~c != c and (~c | c).is_all() and (~c & c).is_empty()
+assert a <= c and b <= c and not c <= a and not a <= b
+assert {c: 1}[ClopenSet.ball(tg, (0,) * (d - 1))] == 1  # hashes a deep trie
 g = parse_element(tg, "pair{domain=[00,01,10,110,111], "
                       "range=[000,001,01,10,11], perm=[1,0,2,4,3]}")
 (u, w), = [(u, w) for u, w in g.leaf_map().items() if not any(u)]
 image = g.apply_clopen(c)
 assert image.ball_strs() == [address_str(w) + "0" * (d - 1 - len(u))]
 assert g.inverse().apply_clopen(image).ball_strs() == c.ball_strs()
+assert g.inverse().apply_clopen(image) == c
+x0 = builtin_generators(tg)["x0"]
+p, q = x0.power(2000), x0.power(2000)
+assert p is not q and p == q and {p: 1}[q] == 1
 """
 
 

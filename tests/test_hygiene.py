@@ -4,8 +4,9 @@
   imports are the public re-exports, and so are ``from __future__`` imports.
 - Only ``treespace.py`` constructs ``BoundaryPoint`` directly, so every point
   the library makes has been canonicalised there.
-- Only ``treespace.py`` reaches ``_node_merge``, so every clopen set made of
-  many pieces is built in one pass, by ``_node_build`` or ``_node_fill``.
+- Only ``treespace.py`` reaches ``_node_combine``, the walk behind the
+  clopen Boolean algebra, so every clopen set made of many pieces is built
+  in one pass, by ``_node_build`` or ``_node_fill``.
 - Every private top-level function and class of the library is named
   somewhere in the library outside its own definition, so no helper is left
   behind by the code that used it.
@@ -15,8 +16,11 @@
   ``Element.inverse``) call neither ``type_at`` nor ``interior_vertices``:
   they carry types down from parents, and a walk from the root per vertex
   would make a build superlinear.
-- No function in ``element.py`` calls itself: its trees grow as deep as
-  the exponents of the powers taken, so it uses explicit stacks.
+- No function in ``element.py`` or ``treespace.py`` calls itself: trees
+  and clopen tries grow as deep as the exponents of the powers taken, so
+  they use explicit stacks.
+- No module of the library calls ``sys.setrecursionlimit``: importing
+  vtrees leaves the interpreter's state alone.
 - ``alternative.py`` reveals only through ``stable_set``, through
   ``_contraction`` when it is given no reports, and through the run's one
   report memo, ``_Run.report``.  Then no run reveals an element twice.
@@ -85,18 +89,18 @@ def test_points_are_built_only_by_treespace():
 
 
 def merge_uses(source: str) -> int:
-    """The number of ``_node_merge`` names a module imports or reads as an
-    attribute."""
+    """The number of ``_node_combine`` names a module imports or reads as
+    an attribute."""
     return sum((isinstance(n, ast.ImportFrom)
-                and any(a.name == "_node_merge" for a in n.names))
-               or (isinstance(n, ast.Attribute) and n.attr == "_node_merge")
+                and any(a.name == "_node_combine" for a in n.names))
+               or (isinstance(n, ast.Attribute) and n.attr == "_node_combine")
                for n in ast.walk(ast.parse(source)))
 
 
 def test_merge_uses_are_detected():
-    assert merge_uses("from .treespace import ClopenSet, _node_merge as m\n"
+    assert merge_uses("from .treespace import ClopenSet, _node_combine as m\n"
                       "from . import treespace\n"
-                      "treespace._node_merge(a, b, True)\n"
+                      "treespace._node_combine(a, b, f)\n"
                       "_node_build(tg, pieces)\n") == 2
 
 
@@ -231,6 +235,34 @@ def test_self_calls_are_detected():
 def test_element_functions_do_not_recurse():
     source = (SRC / "element.py").read_text(encoding="utf-8")
     assert self_calls(source) == []
+
+
+def test_treespace_functions_do_not_recurse():
+    source = (SRC / "treespace.py").read_text(encoding="utf-8")
+    assert self_calls(source) == []
+
+
+def limit_calls(source: str) -> int:
+    """The number of ``setrecursionlimit(...)`` calls in a module, by name
+    or as an attribute."""
+    return sum(isinstance(n, ast.Call) and "setrecursionlimit" in (
+                   getattr(n.func, "id", None), getattr(n.func, "attr", None))
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_limit_calls_are_detected():
+    assert limit_calls("import sys\n"
+                       "sys.setrecursionlimit(50_000)\n"
+                       "from sys import setrecursionlimit as s\n"
+                       "setrecursionlimit(10)\n"
+                       "sys.getrecursionlimit()\n") == 2
+
+
+def test_no_module_sets_the_recursion_limit():
+    found = {p.name: limit_calls(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    assert found
+    assert {k: v for k, v in found.items() if v} == {}
 
 
 REVEALS = ("dynamics", "reveal", "is_elliptic", "order",
