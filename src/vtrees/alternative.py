@@ -152,8 +152,9 @@ def _contraction(hs: Sequence[Element], eps: Fraction,
     m.  It holds the squarings (h^m)^(2^k) and every factor (h^m)^t built
     from them, low bits first as ``Element.power`` builds it.  One
     ping-pong construction hands the same memo to both of its contractions,
-    so the second reuses the first one's squarings (docs/dynamics_notes.md,
-    section 5: the memo changes no element, word or stage)."""
+    so the second, at a different radius, reuses the first one's squarings
+    (docs/dynamics_notes.md, section 5: the memo changes no element, word
+    or stage)."""
     hs = list(hs)
     if not hs:
         raise ValueError("need at least one element")
@@ -449,7 +450,9 @@ def _pingpong(run: _Run):
     m2 = _radius_exponent(b_points, pull2, m)
     if m2 is None or m2 > depth:
         return None, {"step": "delta2", "exponent": m2, "cap": depth}
-    c2 = _contraction(hs, Fraction(1, 2 ** m2), hw, hr, powers)
+    # _contraction is deterministic, so an equal radius gives c1 again
+    c2 = c1 if m2 == m1 else _contraction(hs, Fraction(1, 2 ** m2), hw, hr,
+                                          powers)
     g2 = compose(w, compose(c2.element, wuinv))
     g2_word = w_word + c2.word + word_inverse(w_word + u_word)
 

@@ -312,7 +312,9 @@ def parse_pair(tg: TypeGraph, text: str) -> TreePair:
     """Parse the ``pair{domain=[...], range=[...], perm=[...]}`` format.
 
     An empty bracket pair denotes the single root leaf (a complete tree always
-    has at least one leaf, so this is unambiguous).
+    has at least one leaf, so this is unambiguous).  The leaves are listed in
+    depth-first order, so one ``ordered_tree`` walk builds and checks each
+    side; only when a walk fails does ``shape_from_leaves`` name the defect.
     """
     m = _PAIR_RE.match(text)
     if not m:
@@ -333,11 +335,20 @@ def parse_pair(tg: TypeGraph, text: str) -> TreePair:
     if not perm:
         raise FormatError(f"empty perm in {text!r}")
     try:
-        domain = shape_from_leaves(tg, dom, tg.root_type)
-        range_ = shape_from_leaves(tg, ran, tg.root_type)
-        if any(a >= b for ls in (dom, ran) for a, b in zip(ls, ls[1:])):
-            raise ValueError("leaves must be distinct and in depth-first order")
-        return TreePair(tg, domain, range_, perm)
+        try:
+            domain, domain_types = ordered_tree(tg, dom, tg.root_type)
+            range_, range_types = ordered_tree(tg, ran, tg.root_type)
+        except ValueError:
+            # a leaf set that is no complete tree names its own defect;
+            # otherwise the leaves are out of order or repeated
+            shape_from_leaves(tg, dom, tg.root_type)
+            shape_from_leaves(tg, ran, tg.root_type)
+            raise ValueError("leaves must be distinct and in depth-first "
+                             "order") from None
+        pair = TreePair.__new__(TreePair)
+        pair._set(tg, domain, range_, tuple(perm), tuple(dom), domain_types,
+                  tuple(ran), range_types)
+        return pair
     except ValueError as e:
         raise FormatError(f"invalid tree pair {text!r}: {e}") from None
 
@@ -363,10 +374,12 @@ def pair_from_ordered(tg: TypeGraph, pairs: Sequence[tuple]) -> TreePair:
 
 
 def reduce(pair: TreePair) -> TreePair:
-    """The pair in normal form: ``cancel_carets`` of its leaf pairs."""
+    """The pair in normal form: ``cancel_carets`` of its leaf pairs, or the
+    pair itself when they are already in normal form."""
     ran = pair.range_leaves
-    return pair_from_ordered(pair.tg, cancel_carets(
-        pair.tg, zip(pair.domain_leaves, [ran[j] for j in pair.perm])))
+    pairs = list(zip(pair.domain_leaves, [ran[j] for j in pair.perm]))
+    out = cancel_carets(pair.tg, pairs)
+    return pair if out == pairs else pair_from_ordered(pair.tg, out)
 
 
 def reduce_map(tg: TypeGraph, kappa: Mapping[Address, Address]) -> TreePair:

@@ -33,6 +33,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 Address = tuple  # tuple[int, ...]; () is the root
 
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_DIGIT_VALUES = {ch: i for i, ch in enumerate(_DIGITS)}
 MAX_ARITY = len(_DIGITS)  # limit imposed by the digit-string address format
 
 
@@ -180,12 +181,11 @@ def address_str(address: Address) -> str:
 
 def parse_address(text: str) -> Address:
     text = text.strip()
-    out = []
-    for ch in text:
-        if ch not in _DIGITS:
-            raise FormatError(f"bad address digit {ch!r} in {text!r}")
-        out.append(_DIGITS.index(ch))
-    return tuple(out)
+    try:
+        return tuple(map(_DIGIT_VALUES.__getitem__, text))
+    except KeyError as e:  # the first bad digit: map reads text in order
+        raise FormatError(
+            f"bad address digit {e.args[0]!r} in {text!r}") from None
 
 
 def is_prefix(a: Address, b: Address) -> bool:
@@ -417,7 +417,7 @@ def parse_eps(text: str) -> Fraction:
     try:
         f = Fraction(text)
         eps_exponent(f)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):  # "1/0" is a zero denominator
         raise FormatError(f"bad radius {text!r}") from None
     return f
 
@@ -704,6 +704,9 @@ class ClopenSet:
 
     def ball_strs(self) -> list:
         return [address_str(a) for a in self.balls()]
+
+    def __repr__(self) -> str:  # the dataclass repr would recurse the trie
+        return f"ClopenSet({self.tg!r}, balls={self.ball_strs()!r})"
 
     def __str__(self) -> str:
         if self.is_empty():

@@ -22,7 +22,10 @@ different routes to the same value:
 - the nested shape of a complete tree from its leaf set, level by level
   through prefix sets;
 - the finite closure of a subgroup by a breadth-first search of its Cayley
-  graph.
+  graph;
+- the element of a pair text by a second route through the library's
+  builders: the validating shape builder for any leaf order, a separate
+  order check and the constructor that walks both shapes again.
 """
 
 from __future__ import annotations
@@ -542,3 +545,59 @@ def closure_by_bfs(s, bound: int):
                 words.append(words[i] + (letter,))
         i += 1
     return elements, words
+
+
+# ---------------------------------------------------------------------------
+# Pair texts through the validating shape builder
+
+PAIR_TEXT = re.compile(
+    r"^\s*pair\s*\{\s*domain\s*=\s*\[(?P<dom>[^]]*)\]\s*,\s*"
+    r"range\s*=\s*\[(?P<ran>[^]]*)\]\s*,\s*"
+    r"perm\s*=\s*\[(?P<perm>[^]]*)\]\s*\}\s*$")
+
+
+def parse_element_by_shapes(tg, text: str):
+    """The element of a ``pair{domain=[...], range=[...], perm=[...]}``
+    text: addresses decoded one digit at a time, each side built by
+    ``shape_from_leaves`` (which takes its leaves in any order), the
+    depth-first order checked apart, the pair built by ``TreePair(...)``,
+    which walks both shapes again, and then ``make_element``.  Raises
+    FormatError with the parser's texts."""
+    from vtrees import FormatError, TreePair, make_element
+    from vtrees.element import shape_from_leaves
+
+    m = PAIR_TEXT.match(text)
+    if not m:
+        raise FormatError(f"not a tree pair: {text!r}")
+
+    def address(tok: str) -> tuple:
+        tok = tok.strip()
+        out = []
+        for ch in tok:
+            if ch not in DIGITS:
+                raise FormatError(f"bad address digit {ch!r} in {tok!r}")
+            out.append(DIGITS.index(ch))
+        return tuple(out)
+
+    def addr_list(src: str) -> list:
+        src = src.strip()
+        return [address(tok) for tok in src.split(",")] if src else [()]
+
+    dom = addr_list(m.group("dom"))
+    ran = addr_list(m.group("ran"))
+    try:
+        perm = ([int(tok) for tok in m.group("perm").split(",")]
+                if m.group("perm").strip() else [])
+    except ValueError:
+        raise FormatError(f"bad perm in {text!r}") from None
+    if not perm:
+        raise FormatError(f"empty perm in {text!r}")
+    try:
+        domain = shape_from_leaves(tg, dom, tg.root_type)
+        range_ = shape_from_leaves(tg, ran, tg.root_type)
+        if any(a >= b for ls in (dom, ran) for a, b in zip(ls, ls[1:])):
+            raise ValueError("leaves must be distinct and in depth-first order")
+        pair = TreePair(tg, domain, range_, perm)
+    except ValueError as e:
+        raise FormatError(f"invalid tree pair {text!r}: {e}") from None
+    return make_element(pair)

@@ -22,6 +22,7 @@ from vtrees import (
     identity,
     neumann_disjoint,
     orbit,
+    parse_element,
     proximal_contraction,
     stable_intersection,
     stable_set,
@@ -131,10 +132,14 @@ def test_proximal_stage_invariant(binary, x0, sigma):
 
 
 def wide_pingpong_case():
-    """A wide-tree sweep case whose construction has three contributors,
-    two of isometric power 2, and contractions with the same stages."""
-    from test_pingpong_sweep import SWEEP_BUDGETS, sweep_cases
-    return sweep_cases()[17][0], SWEEP_BUDGETS
+    """A wide-tree case whose construction has three contributors, two of
+    isometric power 2, and contractions at two different radii."""
+    from test_dichotomy_golden import WIDE
+    from test_pingpong_sweep import SWEEP_BUDGETS
+    return GeneratingSet([parse_element(WIDE, text) for text in (
+        "pair{domain=[0,10,110,111,2], range=[00,01,10,11,2], perm=[0,4,1,3,2]}",
+        "pair{domain=[0,10,11,20,21], range=[00,010,011,1,2], perm=[1,0,4,3,2]}",
+    )], ["a", "b"]), SWEEP_BUDGETS
 
 
 def contractions_of_one_construction(monkeypatch, s, budgets):

@@ -317,6 +317,16 @@ def test_malformed_pairs_exit_3(files, capsys, tmp_path, pair, reason):
     assert code == 3 and out == "" and reason in err
 
 
+@pytest.mark.parametrize("command", ["dynamics", "contract"])
+@pytest.mark.parametrize("eps", ["1/0", "0/0"])
+def test_a_zero_denominator_radius_exits_3(files, capsys, command, eps):
+    source = (["--element", str(files / "x0.txt")] if command == "dynamics"
+              else ["--gens", str(files / "vgens.txt")])
+    code, out, err = run_cli([command, "--tree", str(files / "binary.json"),
+                              *source, "--eps", eps], capsys)
+    assert code == 3 and out == "" and f"bad radius {eps!r}" in err
+
+
 @pytest.mark.parametrize("root", ['["b"]', '{"b": 1}', "5", "null"])
 def test_malformed_type_graph_root_exits_3(files, capsys, tmp_path, root):
     tree = tmp_path / "tree.json"

@@ -157,7 +157,7 @@ def test_every_private_helper_is_used():
 ROOT_WALKS = ("type_at", "interior_vertices")
 PAIR_BUILDERS = ("shape_from_leaves", "ordered_tree", "pair_from_ordered",
                  "cancel_carets", "TreePair.__init__", "TreePair._set",
-                 "reduce_map", "Element.inverse")
+                 "parse_pair", "reduce", "reduce_map", "Element.inverse")
 
 
 def root_walk_calls(source: str, names) -> dict:

@@ -1,8 +1,9 @@
 """Tree pairs built in linear time: the one-pass shape builder against the
 level-by-level reference in ``oracles.py``, the one walk of an ordered leaf
 list against the validating builder, the leaf types carried down one walk
-of each shape, the inverse read off the swapped pair, and the work a
-product, a power and an inverse do."""
+of each shape, the inverse read off the swapped pair, the work a product,
+a power and an inverse do, and the parse of pair texts against the route
+through the validating builder kept in ``oracles.py``."""
 
 import random
 
@@ -10,11 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vtrees.element as element_module
-from vtrees import TypeGraph, builtin_generators, compose, random_element, reduce
-from vtrees.element import (TreePair, graft, graft_map, shape_from_leaves,
-                            shape_leaves, typed_leaves)
+from vtrees import (FormatError, TypeGraph, builtin_generators, compose,
+                    format_element, parse_element, random_element, reduce)
+from vtrees.element import (TreePair, expand_pair, format_pair, graft,
+                            graft_map, shape_from_leaves, shape_leaves,
+                            typed_leaves)
+from vtrees.treespace import address_str
 
-from oracles import shape_by_levels
+from oracles import parse_element_by_shapes, shape_by_levels
 
 TREES = {
     "binary": TypeGraph({"b": ["b", "b"]}, "b"),
@@ -291,3 +295,100 @@ def test_products_powers_and_inverses_walk_no_root_paths(monkeypatch):
             counts.update(type_at=0, pair=0, shape=0)
             g.inverse()
             assert counts == {"type_at": 0, "pair": 1, "shape": 0, "walk": 0}
+
+
+# ---------------------------------------------------------------------------
+# Parsing pair texts
+
+MUTATIONS = ("drop", "repeat", "swap", "bad digit", "digit past arity",
+             "short perm", "long perm", "perm swap", "unreduced")
+
+
+def parse_outcome(parse, tg, text):
+    """The element, or the text of the FormatError."""
+    try:
+        return parse(tg, text)
+    except FormatError as e:
+        return f"FormatError: {e}"
+
+
+def mutate(g, how, rng):
+    """The text of g's pair with one change: a leaf dropped, repeated or
+    swapped with its neighbour, a digit replaced by a non-digit or by an
+    index past every arity here, the perm cut short, lengthened or with two
+    entries swapped; or the text of an unreduced pair of g."""
+    p = g.pair
+    if how == "unreduced":
+        return format_pair(expand_pair(p, rng.choice(p.domain_leaves)))
+    lists = {"domain": [address_str(u) for u in p.domain_leaves],
+             "range": [address_str(w) for w in p.range_leaves],
+             "perm": [str(i) for i in p.perm]}
+    leaves = lists[rng.choice(("domain", "range"))]
+    k = rng.randrange(len(leaves))
+    perm = lists["perm"]
+    if how == "drop":
+        del leaves[k]
+    elif how == "repeat":
+        leaves.insert(k, leaves[k])
+    elif how == "swap" and len(leaves) > 1:
+        k = min(k, len(leaves) - 2)
+        leaves[k], leaves[k + 1] = leaves[k + 1], leaves[k]
+    elif how in ("bad digit", "digit past arity"):
+        digit = "Z" if how == "bad digit" else "7"
+        j = rng.randrange(len(leaves[k]) + 1)
+        leaves[k] = leaves[k][:j] + digit + leaves[k][j + 1:]
+    elif how == "short perm":
+        perm.pop()
+    elif how == "long perm":
+        perm.append(str(len(perm)))
+    elif how == "perm swap" and len(perm) > 1:
+        i, j = rng.sample(range(len(perm)), 2)
+        perm[i], perm[j] = perm[j], perm[i]
+    return "pair{" + ", ".join(f"{field}=[{','.join(items)}]"
+                               for field, items in lists.items()) + "}"
+
+
+@EXAMPLES
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32),
+       carets=st.integers(0, 16))
+def test_format_parse_round_trip_matches_the_shape_route(tree, seed, carets):
+    tg = TREES[tree]
+    g = random_element(tg, carets, random.Random(seed))
+    text = format_element(g)
+    got = parse_element(tg, text)
+    assert got == g and got.pair.domain == g.pair.domain
+    assert parse_element_by_shapes(tg, text) == g
+
+
+@EXAMPLES
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32),
+       carets=st.integers(0, 16), how=st.sampled_from(MUTATIONS))
+def test_mutated_texts_parse_as_on_the_shape_route(tree, seed, carets, how):
+    tg = TREES[tree]
+    rng = random.Random(seed)
+    g = random_element(tg, carets, rng)
+    text = mutate(g, how, rng)
+    got = parse_outcome(parse_element, tg, text)
+    assert got == parse_outcome(parse_element_by_shapes, tg, text)
+    if how == "unreduced":
+        assert got == g
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("pair{domain=[1,0], range=[0,1], perm=[0,1]}", "depth-first order"),
+    ("pair{domain=[0,0,1], range=[0,1,1], perm=[0,1,2]}", "distinct"),
+    ("pair{domain=[0,1], range=[0,10], perm=[0,1]}", "missing branch '11'"),
+    ("pair{domain=[0,1,10], range=[0,1,2], perm=[0,1,2]}", "ancestor"),
+    ("pair{domain=[0,1], range=[0,2], perm=[0,1]}", "index 2 out of range"),
+    ("pair{domain=[0,1], range=[0,10,11], perm=[0,1]}", "different leaf counts"),
+    ("pair{domain=[0,1], range=[0,1], perm=[0,0]}", "not a bijection"),
+    ("pair{domain=[0,1X], range=[0,1], perm=[0,1]}", "bad address digit 'X'"),
+    ("pair{domain=[0,1], range=[0,1], perm=[0,a]}", "bad perm"),
+    ("pair{domain=[0,1], range=[0,1], perm=[]}", "empty perm"),
+    ("pair{domain=[0,1], range=[0,1]}", "not a tree pair"),
+])
+def test_each_parse_error_is_the_shape_route_error(text, reason):
+    tg = TREES["binary"]
+    got = parse_outcome(parse_element, tg, text)
+    assert got == parse_outcome(parse_element_by_shapes, tg, text)
+    assert got.startswith("FormatError: ") and reason in got

@@ -374,6 +374,14 @@ def test_deep_ball_listing_memory(wide):
     assert peak < 4 * 2 ** 20
 
 
+def test_repr_lists_the_balls_of_a_deep_set(binary):
+    # the dataclass repr would recurse once per trie level
+    c = ClopenSet.ball(binary, (0,) * 2000)
+    assert repr(c) == f"ClopenSet({binary!r}, balls={['0' * 2000]!r})"
+    assert repr(ClopenSet.empty(binary)).endswith("balls=[])")
+    assert repr(ClopenSet.full(binary)).endswith("balls=[''])")
+
+
 def test_ray_tree_ball_collapse(ray):
     # below an arity-1 vertex the ball is the same set of ends, and the
     # canonical form must identify the two
@@ -414,6 +422,12 @@ def test_eps_parsing():
     with pytest.raises(FormatError):
         parse_eps("0.3")
     assert eps_exponent(Fraction(1, 16)) == 4
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", " 3/0 "])
+def test_a_zero_denominator_is_a_bad_radius(text):
+    with pytest.raises(FormatError, match=f"bad radius {text.strip()!r}"):
+        parse_eps(text)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 A reveal on a tree without singleton types builds no chains for the
 fake-chain pass; a translation search reads each level tuple's rows once
 per level; the two contractions of one ping-pong construction share their
-power squarings.  The counts are exact and repeat, and the ``apply_point``
-count shows that the point work is unchanged."""
+power squarings, and at equal radii there is one contraction; a parsed
+pair text is walked once per side, and a reduced pair is not rebuilt.  The
+counts are exact and repeat, and the ``apply_point`` count shows that the
+point work is unchanged."""
 
 import pytest
 
@@ -12,7 +14,9 @@ import vtrees.alternative as alternative
 import vtrees.element as element_module
 import vtrees.revealing as revealing
 import vtrees.subgroup as subgroup
-from vtrees import compose, dichotomy, dynamics, is_elliptic
+from vtrees import (build_pingpong, compose, dichotomy, dynamics,
+                    format_element, is_elliptic, make_element, parse_element)
+from vtrees.element import expand_pair
 
 
 @pytest.fixture
@@ -63,3 +67,43 @@ def test_dichotomy_of_v_counts(counts, v_gens):
     assert dichotomy(v_gens).verdict == "ping-pong"
     assert counts == {"chains": 10, "row": 56, "products": 10,
                       "apply_point": 64}
+
+
+def counting(monkeypatch, module, names):
+    """Counts of calls of the named functions of a module, by name."""
+    out = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            out[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return out
+
+
+def test_equal_radii_make_one_contraction(monkeypatch):
+    from test_pingpong_sweep import SWEEP_BUDGETS, sweep_cases
+    s = sweep_cases()[17][0]  # both radii are 2^-8
+    calls = counting(monkeypatch, alternative, ["_contraction"])
+    assert build_pingpong(s, SWEEP_BUDGETS) is not None
+    assert calls == {"_contraction": 1}
+
+
+def test_a_parsed_pair_is_walked_once_per_side(monkeypatch, binary, x0, x1,
+                                               sigma):
+    texts = [format_element(g) for g in (x0, compose(x1, sigma))]
+    calls = counting(monkeypatch, element_module, [
+        "ordered_tree", "typed_leaves", "shape_from_leaves"])
+    for text in texts:
+        calls.update(dict.fromkeys(calls, 0))
+        assert format_element(parse_element(binary, text)) == text
+        assert calls == {"ordered_tree": 2, "typed_leaves": 0,
+                         "shape_from_leaves": 0}
+
+
+def test_a_reduced_pair_is_not_rebuilt(monkeypatch, x0):
+    unreduced = expand_pair(x0.pair, (1,))
+    calls = counting(monkeypatch, element_module, ["pair_from_ordered"])
+    assert make_element(x0.pair).pair is x0.pair
+    assert calls == {"pair_from_ordered": 0}
+    assert make_element(unreduced) == x0
+    assert calls == {"pair_from_ordered": 1}
