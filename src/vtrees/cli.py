@@ -137,7 +137,6 @@ def hyp_certificate_json(n: int, cert: HypCertificate) -> dict:
             "target": clopen_json(d.target),
             "start": clopen_json(d.start),
             "steps": d.steps,
-            "iterates": [clopen_json(x) for x in d.iterates],
         }
     return {"eps": _eps_str(cert.eps), "N": n,
             "forward": direction(cert.forward),

@@ -343,13 +343,6 @@ class DynamicsReport:
     attracting_cycles: tuple
 
 
-def _attracting_cycles(ch) -> tuple:
-    """The cycle data of the attracting chains among ``ch``."""
-    return tuple(CycleData(c.start, c.end, c.period,
-                           Fraction(1, 2 ** (len(c.end) - len(c.start))))
-                 for c in ch if c.kind == "attracting")
-
-
 def report_from_revealing(g: Element, pair: TreePair) -> DynamicsReport:
     """Dynamics data read off a revealing pair for g (not necessarily the
     one ``reveal`` would produce)."""
@@ -410,7 +403,10 @@ def _report(g: Element, pair: TreePair, ch) -> DynamicsReport:
         repelling_periodic=tuple(rep),
         isolated=tuple(isolated),
         isometric_power=power,
-        attracting_cycles=_attracting_cycles(ch),
+        attracting_cycles=tuple(
+            CycleData(c.start, c.end, c.period,
+                      Fraction(1, 2 ** (len(c.end) - len(c.start))))
+            for c in ch if c.kind == "attracting"),
     )
 
 
@@ -443,14 +439,13 @@ def order(g: Element):
 class HypDirection:
     """One direction of the power-bound certificate.
 
-    ``trap`` is a forward-invariant clopen inside ``target``; ``iterates``
-    records start, images, ..., up to the first one inside the trap.
+    ``trap`` is a forward-invariant clopen inside ``target``, and ``steps``
+    the least k with g^k(``start``) inside the trap.
     """
 
     trap: ClopenSet
     target: ClopenSet
     start: ClopenSet
-    iterates: tuple
     steps: int
 
 
@@ -465,58 +460,46 @@ class HypCertificate:
 _ITERATE_CAP = 10_000
 
 
-def _build_trap(g: Element, cycles, target: ClopenSet, m: int) -> ClopenSet:
-    """A clopen made of one ball per cycle step, mapped into itself by g and
-    contained in ``target``, the 2^-m neighbourhood of the attracting
-    periodic points.  At refinement t, step k of a cycle u_0 -> ... -> u_0 s
-    is the ball at u_k s^t, on the ray of the attracting point u_k s^inf at
-    depth >= t, so some t <= m fits."""
-    tg = g.tg
-    trap = ClopenSet.empty(tg)
-    for cd in cycles:
-        s = cd.target[len(cd.root):]
-        for t in range(m + 1):
-            ball = ClopenSet.ball(tg, cd.root + s * t)
-            slices = [ball]
-            cur = ball
-            for _ in range(cd.period - 1):
-                cur = g.apply_clopen(cur)
-                slices.append(cur)
-            union = ClopenSet.empty(tg)
-            for x in slices:
-                union = union.union(x)
-            if union.subset_of(target):
-                trap = trap.union(union)
-                break
-        else:
-            raise AssertionError("trap refinement did not converge")
+def _build_trap(g: Element, chains, target: ClopenSet) -> ClopenSet:
+    """The least trap with one refinement t per attracting chain v_0 -> ...
+    -> v_n = v_0 s: g^j maps the ball at v_0 s^t onto the ball at v_j s^t,
+    which lies in ``target`` iff |v_j| + t|s| >= ``target.full_depth`` at
+    v_j s^inf (docs/dynamics_notes.md §7)."""
+    balls = []
+    for c in chains:
+        if c.kind == "attracting":
+            cycle, s = c.vertices[:-1], c.end[len(c.start):]
+            t = max(-((len(v) - target.full_depth(boundary_point(g.tg, v, s)))
+                      // len(s)) for v in cycle)  # ceil((depth - |v|) / |s|)
+            balls.extend(v + s * max(t, 0) for v in cycle)
+    if not balls:
+        raise AssertionError("nonempty hyperbolic part without attracting chains")
+    trap = ClopenSet.from_balls(g.tg, balls)
+    if not trap.subset_of(target):
+        raise AssertionError("trap is not inside the target")
     if not g.apply_clopen(trap).subset_of(trap):
         raise AssertionError("trap is not forward invariant")
     return trap
 
 
-def _direction(g: Element, hyperbolic: ClopenSet, cycles,
+def _direction(g: Element, hyperbolic: ClopenSet, chains,
                att_points, rep_points, eps: Fraction) -> HypDirection:
     tg = g.tg
     target = epsilon_neighborhood(tg, att_points, eps)
     avoid = epsilon_neighborhood(tg, rep_points, eps)
     start = hyperbolic.difference(avoid)
     if start.is_empty():
-        return HypDirection(ClopenSet.empty(tg), target, start, (start,), 0)
-    if not cycles:
-        raise AssertionError("nonempty hyperbolic part without attracting chains")
-    trap = _build_trap(g, cycles, target, eps_exponent(eps))
-    iterates = [start]
+        return HypDirection(ClopenSet.empty(tg), target, start, 0)
+    trap = _build_trap(g, chains, target)
     cur = start
     steps = 0
     while not cur.subset_of(trap):
         cur = g.apply_clopen(cur)
-        iterates.append(cur)
         steps += 1
         if steps > _ITERATE_CAP:
             raise BudgetExceeded("image iteration did not enter the trap within "
                                  f"the cap _ITERATE_CAP = {_ITERATE_CAP}")
-    return HypDirection(trap, target, start, tuple(iterates), steps)
+    return HypDirection(trap, target, start, steps)
 
 
 def hyp_power_bound(g: Element, report: DynamicsReport, eps: Fraction):
@@ -525,20 +508,20 @@ def hyp_power_bound(g: Element, report: DynamicsReport, eps: Fraction):
     around the attracting points, and symmetrically for inverse powers.
 
     The certificate is machine-checkable: a forward-invariant trap inside
-    each target neighborhood plus the exact iterate trail that enters it.
+    each target neighbourhood, and the step count after which the start
+    set's image lies in the trap, so that every later power keeps it there.
     """
     eps = Fraction(eps)
     eps_exponent(eps)  # validate
     tg = g.tg
     if report.hyperbolic.is_empty():
         empty = HypDirection(ClopenSet.empty(tg), ClopenSet.empty(tg),
-                             ClopenSet.empty(tg), (ClopenSet.empty(tg),), 0)
+                             ClopenSet.empty(tg), 0)
         return 1, HypCertificate(eps, 1, empty, empty)
     ginv = g.inverse()
-    inv_cycles = _attracting_cycles(reveal(ginv).chains)
-    forward = _direction(g, report.hyperbolic, report.attracting_cycles,
+    forward = _direction(g, report.hyperbolic, report.chains,
                          report.attracting_periodic, report.repelling_periodic, eps)
-    backward = _direction(ginv, report.hyperbolic, inv_cycles,
+    backward = _direction(ginv, report.hyperbolic, reveal(ginv).chains,
                           report.repelling_periodic, report.attracting_periodic, eps)
     n = max(forward.steps, backward.steps, 1)
     return n, HypCertificate(eps, n, forward, backward)
@@ -548,9 +531,13 @@ def recheck_hyp_certificate(g: Element, cert: HypCertificate,
                             extra_powers: int = 3) -> bool:
     """Re-verify a power-bound certificate from scratch by exact images.
 
-    Checks the trap inclusions and that powers N..N+extra_powers of g (and of
-    its inverse, mirrored) map the respective start sets into the targets.
+    In each direction the trap lies in the target, g maps it into itself and
+    g^N maps the start set into it, which proves g^k(start) inside the
+    target for every k >= N; powers N..N+extra_powers (of the inverse,
+    backward) are checked against the target as well.
     """
+    if cert.n < 1:
+        return False
     ginv = g.inverse()
     for elem, d in ((g, cert.forward), (ginv, cert.backward)):
         if not d.trap.subset_of(d.target):
@@ -560,6 +547,8 @@ def recheck_hyp_certificate(g: Element, cert: HypCertificate,
         cur = d.start
         for k in range(1, cert.n + extra_powers + 1):
             cur = elem.apply_clopen(cur)
+            if k == cert.n and not cur.subset_of(d.trap):
+                return False
             if k >= cert.n and not cur.subset_of(d.target):
                 return False
     return True

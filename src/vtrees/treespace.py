@@ -401,25 +401,25 @@ def eps_exponent(eps: Fraction) -> int:
     return m
 
 
+MAX_EPS_EXPONENT = 60_000  # the depth at which the trie algebra is tested
+
+
 def parse_eps(text: str) -> Fraction:
-    """Parse ``1``, ``2^-m`` or ``1/2^m`` style radii."""
+    """Parse ``1``, ``2^-m`` or ``1/2^m`` style radii, such as ``1/8``.  m is
+    at most ``MAX_EPS_EXPONENT``, checked before 2^m is computed, so that a
+    text such as ``2^-1000000000000`` cannot ask for a 10^12-bit power."""
     text = text.strip()
     if text in ("1", "2^0", "2^-0"):
         return Fraction(1)
-    if text.startswith("2^-"):
-        try:
-            m = int(text[3:])
-        except ValueError:
-            raise FormatError(f"bad radius {text!r}") from None
-        if m < 0:
-            raise FormatError(f"bad radius {text!r}")
-        return Fraction(1, 2 ** m)
     try:
-        f = Fraction(text)
-        eps_exponent(f)
+        m = (int(text[3:]) if text.startswith("2^-")
+             else eps_exponent(Fraction(text)))
     except (ValueError, ZeroDivisionError):  # "1/0" is a zero denominator
         raise FormatError(f"bad radius {text!r}") from None
-    return f
+    if not 0 <= m <= MAX_EPS_EXPONENT:
+        raise FormatError(f"bad radius {text!r}: 2^-m needs 0 <= m <= "
+                          f"MAX_EPS_EXPONENT = {MAX_EPS_EXPONENT}")
+    return Fraction(1, 2 ** m)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +645,16 @@ class ClopenSet:
     def __eq__(self, other: object) -> bool:  # tuple == would recurse
         return (isinstance(other, ClopenSet) and self.tg == other.tg
                 and not _node_combine(self.node, other.node, _XOR, True))
+
+    def __hash__(self) -> int:  # the dataclass hash would recurse the trie
+        h, stack = hash(self.tg), [self.node]
+        while stack:
+            node = stack.pop()
+            if node is not True and node is not False:
+                stack.extend(node)
+                node = len(node) + 2  # apart from False == 0 and True == 1
+            h = hash((h, node))
+        return h
 
     # operator sugar
     __or__ = union

@@ -25,7 +25,10 @@ different routes to the same value:
   graph;
 - the element of a pair text by a second route through the library's
   builders: the validating shape builder for any leaf order, a separate
-  order check and the constructor that walks both shapes again.
+  order check and the constructor that walks both shapes again;
+- the power-bound trap of each attracting cycle, by trying refinements
+  t = 0, 1, ... m until the ball and its images fit the target, and the
+  power bound N by iterating images until they enter that trap.
 """
 
 from __future__ import annotations
@@ -601,3 +604,67 @@ def parse_element_by_shapes(tg, text: str):
     except ValueError as e:
         raise FormatError(f"invalid tree pair {text!r}: {e}") from None
     return make_element(pair)
+
+
+# ---------------------------------------------------------------------------
+# Power-bound traps by a scan over refinements
+
+
+def scanned_trap(g, chains, target, m: int):
+    """The trap made of one refinement per attracting chain v_0 -> ... ->
+    v_0 s: at the least t <= m for which the ball at v_0 s^t and its images
+    under g, g^2, ... up to the period lie in ``target``, their union."""
+    from vtrees import ClopenSet
+
+    tg = g.tg
+    trap = ClopenSet.empty(tg)
+    for c in chains:
+        if c.kind != "attracting":
+            continue
+        s = c.end[len(c.start):]
+        for t in range(m + 1):
+            cur = ClopenSet.ball(tg, c.start + s * t)
+            union = cur
+            for _ in range(c.period - 1):
+                cur = g.apply_clopen(cur)
+                union = union.union(cur)
+            if union.subset_of(target):
+                trap = trap.union(union)
+                break
+        else:
+            raise AssertionError("no refinement up to m fits the target")
+    return trap
+
+
+def scanned_power_bound(g, report, eps):
+    """(N, ((trap, steps) forward, (trap, steps) backward)) for g at radius
+    eps, with each trap from ``scanned_trap`` and each step count the least
+    k with g^k(start) in the trap, start being the hyperbolic part minus the
+    eps-neighbourhood of the repelling points (of g^-1 backward)."""
+    from vtrees import ClopenSet, epsilon_neighborhood, reveal
+    from vtrees.treespace import eps_exponent
+
+    tg = g.tg
+    if report.hyperbolic.is_empty():
+        return 1, ((ClopenSet.empty(tg), 0), (ClopenSet.empty(tg), 0))
+    ginv = g.inverse()
+    out = []
+    for elem, chains, att, rep in (
+            (g, report.chains, report.attracting_periodic,
+             report.repelling_periodic),
+            (ginv, reveal(ginv).chains, report.repelling_periodic,
+             report.attracting_periodic)):
+        start = report.hyperbolic.difference(
+            epsilon_neighborhood(tg, rep, eps))
+        if start.is_empty():
+            out.append((ClopenSet.empty(tg), 0))
+            continue
+        trap = scanned_trap(elem, chains,
+                            epsilon_neighborhood(tg, att, eps),
+                            eps_exponent(eps))
+        steps = 0
+        while not start.subset_of(trap):
+            start = elem.apply_clopen(start)
+            steps += 1
+        out.append((trap, steps))
+    return max(out[0][1], out[1][1], 1), tuple(out)

@@ -102,6 +102,9 @@ def test_dynamics_small_radius(files, capsys, name, text, n):
     doc = run_json(["dynamics", "--tree", str(files / "binary.json"),
                     "--element", str(path), "--eps", "2^-70"], capsys)
     assert doc["power_bound"]["N"] == n
+    for side in ("forward", "backward"):
+        assert set(doc["power_bound"][side]) == {"trap", "target", "start",
+                                                 "steps"}
     g = parse_element(load_type_graph(BINARY_SPEC), text)
     got, cert = hyp_power_bound(g, dynamics(g), Fraction(1, 2 ** 70))
     assert got == n
@@ -325,6 +328,17 @@ def test_a_zero_denominator_radius_exits_3(files, capsys, command, eps):
     code, out, err = run_cli([command, "--tree", str(files / "binary.json"),
                               *source, "--eps", eps], capsys)
     assert code == 3 and out == "" and f"bad radius {eps!r}" in err
+
+
+@pytest.mark.parametrize("command", ["dynamics", "contract"])
+@pytest.mark.parametrize("eps", ["2^-1000000000000", "2^-60001"])
+def test_a_radius_past_the_exponent_bound_exits_3(files, capsys, command, eps):
+    # refused before 2^m is computed, which at m = 10^12 would not fit
+    source = (["--element", str(files / "x0.txt")] if command == "dynamics"
+              else ["--gens", str(files / "vgens.txt")])
+    code, out, err = run_cli([command, "--tree", str(files / "binary.json"),
+                              *source, "--eps", eps], capsys)
+    assert code == 3 and out == "" and "MAX_EPS_EXPONENT = 60000" in err
 
 
 @pytest.mark.parametrize("root", ['["b"]', '{"b": 1}', "5", "null"])

@@ -388,6 +388,24 @@ assert p is not q and p == q and {p: 1}[q] == 1
 """
 
 
+DEEP_HASH = """
+from vtrees import ClopenSet, TypeGraph
+d = 200_000
+tg = TypeGraph({"b": ["b", "b"]}, "b")
+a = ClopenSet.ball(tg, (0,) * d)
+b = ClopenSet.from_balls(tg, [(0,) * (d + 1), (0,) * d + (1,)])
+assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+"""
+
+
+def test_a_deep_trie_hashes_in_a_fresh_process():
+    # a hash that recursed in C would crash the interpreter at this depth,
+    # so the check runs in a child process
+    proc = subprocess.run([sys.executable, "-c", DEEP_HASH], capture_output=True,
+                          timeout=120, env=child_env())
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-2000:]
+
+
 def test_deep_ball_pair_builds_and_lists_in_a_fresh_process():
     # A crash of the interpreter (a recursion deeper than its C stack) has to
     # fail this test, not the test run, so it runs in a child process.

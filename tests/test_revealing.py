@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -38,6 +39,7 @@ from oracles import (
     binary_helpers,
     brute_force_order_search,
     revealing_oracle,
+    scanned_power_bound,
     wide_helpers,
 )
 
@@ -506,3 +508,52 @@ def test_hyp_power_bound_random_nonelliptic(binary, wide):
             assert n >= 1
             assert recheck_hyp_certificate(e, cert, extra_powers=3)
     assert found == 10
+
+
+@settings(database=None, derandomize=True, max_examples=200, deadline=None)
+@given(tree=st.sampled_from(sorted(TREES)), seed=st.integers(0, 2 ** 32),
+       carets=st.integers(0, 12), m=st.integers(0, 8))
+def test_computed_traps_equal_the_refinement_scan(tree, seed, carets, m):
+    # the trap computed from full_depth is the one the scan over t = 0..m
+    # finds, in both directions, so N and every step count agree too
+    e = random_element(TREES[tree], carets, seed)
+    rep = dynamics(e)
+    n, cert = hyp_power_bound(e, rep, Fraction(1, 2 ** m))
+    got = tuple((d.trap, d.steps) for d in (cert.forward, cert.backward))
+    assert (n, got) == scanned_power_bound(e, rep, Fraction(1, 2 ** m))
+
+
+def with_trap(cert, side, trap):
+    d = getattr(cert, side)
+    return dataclasses.replace(cert, **{side: dataclasses.replace(d, trap=trap)})
+
+
+def test_recheck_rejects_emptied_traps(x0):
+    # empty traps lie in every target and are invariant, but g^N(start)
+    # does not lie in them
+    n, cert = hyp_power_bound(x0, dynamics(x0), Fraction(1, 8))
+    empty = ClopenSet.empty(x0.tg)
+    assert recheck_hyp_certificate(x0, cert)
+    assert not recheck_hyp_certificate(
+        x0, with_trap(with_trap(cert, "forward", empty), "backward", empty))
+
+
+def test_recheck_rejects_a_trap_with_one_ball_removed(binary, wide, ray):
+    # every ball of a trap holds an attracting point that g^N(start) reaches;
+    # some shrunken traps stay invariant, and only the g^N(start) check
+    # rejects those
+    invariant = 0
+    for tg in (binary, wide, ray):
+        for seed in range(20):
+            e = random_element(tg, 5, seed)
+            rep = dynamics(e)
+            for m in (2, 4):
+                _n, cert = hyp_power_bound(e, rep, Fraction(1, 2 ** m))
+                for side, elem in (("forward", e), ("backward", e.inverse())):
+                    balls = getattr(cert, side).trap.balls()
+                    for i in range(len(balls)):
+                        trap = ClopenSet.from_balls(tg, balls[:i] + balls[i + 1:])
+                        invariant += elem.apply_clopen(trap).subset_of(trap)
+                        assert not recheck_hyp_certificate(
+                            e, with_trap(cert, side, trap))
+    assert invariant > 0

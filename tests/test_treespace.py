@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -422,6 +423,21 @@ def test_eps_parsing():
     with pytest.raises(FormatError):
         parse_eps("0.3")
     assert eps_exponent(Fraction(1, 16)) == 4
+
+
+def test_the_radius_exponent_is_bounded(monkeypatch):
+    from vtrees import treespace
+    assert treespace.MAX_EPS_EXPONENT == 60_000
+    assert parse_eps("2^-60000") == Fraction(1, 2 ** 60_000)
+    for text in ("2^-60001", "2^-1000000000000", "2^--1"):
+        with pytest.raises(FormatError, match=re.escape(f"bad radius {text!r}")):
+            parse_eps(text)
+    # the written-out spelling 1/2^m has the same bound
+    monkeypatch.setattr(treespace, "MAX_EPS_EXPONENT", 10)
+    assert parse_eps("1/1024") == parse_eps("2^-10") == Fraction(1, 1024)
+    for text in ("1/2048", "2^-11"):
+        with pytest.raises(FormatError, match="MAX_EPS_EXPONENT = 10"):
+            parse_eps(text)
 
 
 @pytest.mark.parametrize("text", ["1/0", "0/0", " 3/0 "])

@@ -4,9 +4,12 @@ A reveal on a tree without singleton types builds no chains for the
 fake-chain pass; a translation search reads each level tuple's rows once
 per level; the two contractions of one ping-pong construction share their
 power squarings, and at equal radii there is one contraction; a parsed
-pair text is walked once per side, and a reduced pair is not rebuilt.  The
-counts are exact and repeat, and the ``apply_point`` count shows that the
-point work is unchanged."""
+pair text is walked once per side, and a reduced pair is not rebuilt; a
+power-bound trap is computed, not found by a scan over refinements.  The
+counts are exact and repeat, and the ``apply_point`` and ``apply_clopen``
+counts show that the point and image work is unchanged."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +17,9 @@ import vtrees.alternative as alternative
 import vtrees.element as element_module
 import vtrees.revealing as revealing
 import vtrees.subgroup as subgroup
-from vtrees import (build_pingpong, compose, dichotomy, dynamics,
-                    format_element, is_elliptic, make_element, parse_element)
+from vtrees import (ClopenSet, Element, build_pingpong, compose, dichotomy,
+                    dynamics, format_element, hyp_power_bound, is_elliptic,
+                    make_element, parse_element)
 from vtrees.element import expand_pair
 
 
@@ -107,3 +111,17 @@ def test_a_reduced_pair_is_not_rebuilt(monkeypatch, x0):
     assert calls == {"pair_from_ordered": 0}
     assert make_element(unreduced) == x0
     assert calls == {"pair_from_ordered": 1}
+
+
+def test_a_power_bound_trap_is_computed_not_scanned(monkeypatch, x0):
+    # Per direction at m = 70: trap <= target and g(trap) <= trap once
+    # each, then g^k(start) <= trap for k = 0 .. N; no check per
+    # refinement, of which a scan would make m = 70 for x0's cycle
+    # (1) -> (11).
+    rep = dynamics(x0)
+    subset = counting(monkeypatch, ClopenSet, ["subset_of"])
+    images = counting(monkeypatch, Element, ["apply_clopen"])
+    n, cert = hyp_power_bound(x0, rep, Fraction(1, 2 ** 70))
+    assert (n, cert.forward.steps, cert.backward.steps) == (138, 138, 138)
+    assert subset == {"subset_of": 2 * 141}
+    assert images == {"apply_clopen": 2 * 139}
