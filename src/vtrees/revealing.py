@@ -97,23 +97,22 @@ class Chain:
 
 
 def chains(pair: TreePair) -> tuple:
-    """All chains of the pair, each leaf appearing in exactly one."""
+    """All chains of the pair, each leaf appearing in exactly one, in the
+    order of their starts: a domain leaf that is no range leaf, or a
+    cycle's least vertex."""
     kappa = pair.leaf_map()
-    l1 = set(pair.domain_leaves)
     l2 = set(pair.range_leaves)
-    int_t1 = interior_vertices(l1)
+    int_t1 = interior_vertices(pair.domain_leaves)
     int_t2 = interior_vertices(l2)
 
-    out = []
-    visited = set()
     # non-periodic chains start in L1 \ L2
-    for start in sorted(l1 - l2):
+    open_chains = {}
+    for start in pair.domain_leaves:
+        if start in l2:
+            continue
         seq = [start]
-        cur = start
-        while cur in kappa:
-            cur = kappa[cur]
-            seq.append(cur)
-        visited.update(seq)
+        while seq[-1] in kappa:
+            seq.append(kappa[seq[-1]])
         u0, un = seq[0], seq[-1]
         if is_prefix(u0, un) and u0 != un:
             kind = "attracting"
@@ -125,22 +124,20 @@ def chains(pair: TreePair) -> tuple:
             kind = "wandering"
         else:
             kind = "mixed"
-        out.append(Chain(tuple(seq), kind))
-    # the rest of L1 sits in cycles
-    for start in sorted(l1):
-        if start in visited:
-            continue
-        seq = [start]
-        cur = kappa[start]
-        while cur != start:
-            seq.append(cur)
-            cur = kappa[cur]
-        visited.update(seq)
-        # canonical rotation: begin at the least vertex
-        i = seq.index(min(seq))
-        seq = seq[i:] + seq[:i]
-        out.append(Chain(tuple(seq), "periodic"))
-    out.sort(key=lambda c: c.vertices[0])
+        open_chains[start] = Chain(tuple(seq), kind)
+    # the rest of L1 sits in cycles; the domain leaves are sorted, so each
+    # cycle is met first at its least vertex
+    visited = {v for c in open_chains.values() for v in c.vertices}
+    out = []
+    for start in pair.domain_leaves:
+        if start in open_chains:
+            out.append(open_chains[start])
+        elif start not in visited:
+            seq = [start]
+            while kappa[seq[-1]] != start:
+                seq.append(kappa[seq[-1]])
+            visited.update(seq)
+            out.append(Chain(tuple(seq), "periodic"))
     return tuple(out)
 
 
@@ -191,30 +188,25 @@ class RevealingPair:
     repellers: tuple   # (component root, repeller vertex) per domain-minus-range component
 
 
-def _roll_once(pair: TreePair, side: str, w: Address) -> TreePair:
-    """One rolling step for the failing component rooted at w.
+def _roll_once(pair: TreePair, side: str, w: Address, ch) -> TreePair:
+    """One rolling step for the failing component rooted at w, given the
+    pair's chains ``ch``.
 
     The component's shape is copied to the far end of the chain through its
     root, which moves the obstruction along the orbit; iterating this reaches
     a revealing pair.
     """
-    kappa = pair.leaf_map()
     if side == "attractor":
-        # w is a domain leaf, interior to the range tree; follow the chain
-        # from w forward and copy the component shape to its terminal vertex.
+        # w is a domain leaf, interior to the range tree, so it starts a
+        # chain; copy the component shape to that chain's last domain leaf
         shape = shape_at(pair.range, w)
-        cur = w
-        while kappa[cur] in kappa:
-            cur = kappa[cur]
+        at = next(c for c in ch if c.start == w).vertices[-2]
     else:
-        # w is a range leaf, interior to the domain tree; walk the chain
-        # ending at w back to its start and copy the component shape there.
+        # w is a range leaf, interior to the domain tree, so it ends a
+        # chain; copy the component shape to that chain's start
         shape = shape_at(pair.domain, w)
-        inv = {v: u for u, v in kappa.items()}
-        cur = w
-        while cur in inv:
-            cur = inv[cur]
-    return graft(pair, lambda u, _: shape if u == cur else None)
+        at = next(c for c in ch if c.end == w).start
+    return graft(pair, lambda u, _: shape if u == at else None)
 
 
 def _collapse_fake_chains(pair: TreePair) -> TreePair:
@@ -223,26 +215,24 @@ def _collapse_fake_chains(pair: TreePair) -> TreePair:
 
     Such a chain runs along an arity-1 ray, so the far endpoint can be slid
     back to the chain's base vertex without changing the element; the whole
-    component it certified disappears with it.  Without a singleton type
-    there is no such chain, and the pair is returned as it is.
+    component it certified disappears with it.  The chains are disjoint and
+    each slide edits only its own chain's leaf pairs, so all of them are
+    made in one leaf map (docs/dynamics_notes.md §1(b)).  Without a
+    singleton type there is no such chain, and the pair is returned as it
+    is.
     """
     tg = pair.tg
     if not tg._singleton_types:
         return pair
-    while True:
-        kappa = pair.leaf_map()
-        for c in chains(pair):
-            if c.kind == "attracting" and tg.is_singleton_type(tg.type_at(c.start)):
-                kappa[c.vertices[-2]] = c.start
-                pair = TreePair.from_map(tg, kappa)
-                break
-            if c.kind == "repelling" and tg.is_singleton_type(tg.type_at(c.start)):
-                nxt = kappa.pop(c.start)
-                kappa[c.end] = nxt
-                pair = TreePair.from_map(tg, kappa)
-                break
+    kappa = pair.leaf_map()
+    fake = [c for c in chains(pair) if c.kind in ("attracting", "repelling")
+            and tg.is_singleton_type(tg.type_at(c.start))]
+    for c in fake:
+        if c.kind == "attracting":
+            kappa[c.vertices[-2]] = c.start
         else:
-            return pair
+            kappa[c.end] = kappa.pop(c.start)
+    return TreePair.from_map(tg, kappa) if fake else pair
 
 
 _ROLL_CAP = 512
@@ -254,10 +244,7 @@ def _bfs_reveal(pair: TreePair) -> TreePair:
     exponential, used as the certified fallback and as a test oracle."""
     from collections import deque
 
-    def key(p: TreePair):
-        return (p.domain_leaves, p.range_leaves, p.perm)
-
-    seen = {key(pair)}
+    seen = {pair}
     queue = deque([pair])
     while queue:
         p = queue.popleft()
@@ -265,9 +252,8 @@ def _bfs_reveal(pair: TreePair) -> TreePair:
             return p
         for u in p.domain_leaves:
             p2 = expand_pair(p, u)
-            k = key(p2)
-            if k not in seen:
-                seen.add(k)
+            if p2 not in seen:
+                seen.add(p2)
                 queue.append(p2)
                 if len(seen) > _BFS_NODE_CAP:
                     raise BudgetExceeded("revealing-pair search exceeded the node "
@@ -285,14 +271,13 @@ def reveal(g: Element, strategy: str = "rolling") -> RevealingPair:
         raise ValueError(f"unknown strategy {strategy!r}")
     pair = g.pair
     if strategy == "rolling":
-        done = False
         for _ in range(_ROLL_CAP):
-            viol, _ = _check_components(pair, chains(pair))
+            ch = chains(pair)
+            viol, _ = _check_components(pair, ch)
             if viol is None:
-                done = True
                 break
-            pair = _roll_once(pair, *viol)
-        if not done:
+            pair = _roll_once(pair, *viol, ch)
+        else:
             pair = _bfs_reveal(g.pair)
     else:
         pair = _bfs_reveal(g.pair)
@@ -359,26 +344,13 @@ def _report(g: Element, pair: TreePair, ch) -> DynamicsReport:
     periods = [c.period for c in periodic]
     stable = ClopenSet.from_balls(tg, (v for c in periodic for v in c.vertices))
 
-    att_pts = []
-    rep_pts = []
-    ginv = g.inverse()
-    for c in ch:
-        if c.kind == "attracting":
-            u0, un = c.start, c.end
-            s = un[len(u0):]
-            xi = boundary_point(tg, u0, s)
-            orbit = [xi]
-            for _ in range(c.period - 1):
-                orbit.append(g.apply_point(orbit[-1]))
-            att_pts.extend((c, p) for p in orbit)
-        elif c.kind == "repelling":
-            u0, un = c.start, c.end
-            s = u0[len(un):]
-            xi = boundary_point(tg, un, s)
-            orbit = [xi]
-            for _ in range(c.period - 1):
-                orbit.append(ginv.apply_point(orbit[-1]))
-            rep_pts.extend((c, p) for p in orbit)
+    # a leaf pair v_j -> v_j+1 carries v_j w to v_j+1 w, so g walks the
+    # points v s^inf forward along an attracting chain and backward along a
+    # repelling one (docs/dynamics_notes.md §7)
+    att_pts = [(c, boundary_point(tg, v, c.end[len(c.start):]))
+               for c in ch if c.kind == "attracting" for v in c.vertices[:-1]]
+    rep_pts = [(c, boundary_point(tg, v, c.start[len(c.end):]))
+               for c in ch if c.kind == "repelling" for v in c.vertices[:0:-1]]
 
     isolated = []
     for c, p in att_pts + rep_pts:
@@ -482,14 +454,21 @@ def _build_trap(g: Element, chains, target: ClopenSet) -> ClopenSet:
     return trap
 
 
-def _direction(g: Element, hyperbolic: ClopenSet, chains,
-               att_points, rep_points, eps: Fraction) -> HypDirection:
-    tg = g.tg
-    target = epsilon_neighborhood(tg, att_points, eps)
-    avoid = epsilon_neighborhood(tg, rep_points, eps)
-    start = hyperbolic.difference(avoid)
+def _targets_and_starts(report: DynamicsReport, eps: Fraction) -> tuple:
+    """(target, start) forward and backward at radius eps: the target is the
+    eps-neighbourhood of the attracting points (of the repelling ones
+    backward), the start the hyperbolic part minus that of the others."""
+    tg = report.hyperbolic.tg
+    att = epsilon_neighborhood(tg, report.attracting_periodic, eps)
+    rep = epsilon_neighborhood(tg, report.repelling_periodic, eps)
+    return ((att, report.hyperbolic.difference(rep)),
+            (rep, report.hyperbolic.difference(att)))
+
+
+def _direction(g: Element, chains, target: ClopenSet,
+               start: ClopenSet) -> HypDirection:
     if start.is_empty():
-        return HypDirection(ClopenSet.empty(tg), target, start, 0)
+        return HypDirection(ClopenSet.empty(g.tg), target, start, 0)
     trap = _build_trap(g, chains, target)
     cur = start
     steps = 0
@@ -518,11 +497,10 @@ def hyp_power_bound(g: Element, report: DynamicsReport, eps: Fraction):
         empty = HypDirection(ClopenSet.empty(tg), ClopenSet.empty(tg),
                              ClopenSet.empty(tg), 0)
         return 1, HypCertificate(eps, 1, empty, empty)
+    fwd, bwd = _targets_and_starts(report, eps)
     ginv = g.inverse()
-    forward = _direction(g, report.hyperbolic, report.chains,
-                         report.attracting_periodic, report.repelling_periodic, eps)
-    backward = _direction(ginv, report.hyperbolic, reveal(ginv).chains,
-                          report.repelling_periodic, report.attracting_periodic, eps)
+    forward = _direction(g, report.chains, *fwd)
+    backward = _direction(ginv, reveal(ginv).chains, *bwd)
     n = max(forward.steps, backward.steps, 1)
     return n, HypCertificate(eps, n, forward, backward)
 
@@ -531,16 +509,18 @@ def recheck_hyp_certificate(g: Element, cert: HypCertificate,
                             extra_powers: int = 3) -> bool:
     """Re-verify a power-bound certificate from scratch by exact images.
 
-    In each direction the trap lies in the target, g maps it into itself and
-    g^N maps the start set into it, which proves g^k(start) inside the
-    target for every k >= N; powers N..N+extra_powers (of the inverse,
-    backward) are checked against the target as well.
+    In each direction the target and start are those that ``dynamics(g)``
+    gives at the certificate's radius, the trap lies in the target, g maps
+    it into itself and g^N maps the start set into it, which proves
+    g^k(start) inside the target for every k >= N; powers N..N+extra_powers
+    (of the inverse, backward) are checked against the target as well.
     """
     if cert.n < 1:
         return False
     ginv = g.inverse()
-    for elem, d in ((g, cert.forward), (ginv, cert.backward)):
-        if not d.trap.subset_of(d.target):
+    for elem, d, ends in zip((g, ginv), (cert.forward, cert.backward),
+                             _targets_and_starts(dynamics(g), cert.eps)):
+        if (d.target, d.start) != ends or not d.trap.subset_of(d.target):
             return False
         if not d.trap.is_empty() and not elem.apply_clopen(d.trap).subset_of(d.trap):
             return False

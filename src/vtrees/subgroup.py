@@ -221,7 +221,7 @@ def enumerate_elements(s: GeneratingSet, budget: int) -> Iterator[tuple]:
     if budget < 0:
         raise ValueError("budget must be >= 0")
     e0 = identity(s.tg)
-    seen = {e0.key()}
+    seen = {e0}
     yield ((), e0)
     frontier = [((), e0)]
     letters = s.letters()
@@ -232,10 +232,9 @@ def enumerate_elements(s: GeneratingSet, budget: int) -> Iterator[tuple]:
                 if word and word[-1] == (letter[0], -letter[1]):
                     continue  # the free reduction was seen at a shorter length
                 e2 = compose(e, le)
-                k = e2.key()
-                if k in seen:
+                if e2 in seen:
                     continue
-                seen.add(k)
+                seen.add(e2)
                 item = (word + (letter,), e2)
                 new.append(item)
                 yield item

@@ -28,7 +28,10 @@ different routes to the same value:
   order check and the constructor that walks both shapes again;
 - the power-bound trap of each attracting cycle, by trying refinements
   t = 0, 1, ... m until the ball and its images fit the target, and the
-  power bound N by iterating images until they enter that trap.
+  power bound N by iterating images until they enter that trap;
+- the periodic points of a revealing pair, by iterating the element (its
+  inverse on repelling chains) from one point per chain, and the collapse
+  of fake chains, one chain per rebuilt pair.
 """
 
 from __future__ import annotations
@@ -668,3 +671,67 @@ def scanned_power_bound(g, report, eps):
             steps += 1
         out.append((trap, steps))
     return max(out[0][1], out[1][1], 1), tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Periodic points by iteration, and fake chains collapsed one at a time
+
+
+def iterated_periodic_points(g, chains) -> tuple:
+    """(attracting, repelling, isolated, isometric power) of the report for
+    g on a revealing pair with these chains, each cycle's points found by
+    iterating points: an attracting chain's point u_0 s^inf and its images
+    under g, a repelling chain's point u_n s^inf and its images under g^-1,
+    period - 1 of them.  Points isolated in the boundary leave both lists,
+    and their chains' periods join those of the periodic chains."""
+    from vtrees import boundary_point, point_is_isolated
+
+    ginv = g.inverse()
+    periods = [c.period for c in chains if c.kind == "periodic"]
+    att, rep = [], []
+    for c in chains:
+        if c.kind not in ("attracting", "repelling"):
+            continue
+        elem, top, low, out = ((g, c.start, c.end, att) if c.kind == "attracting"
+                               else (ginv, c.end, c.start, rep))
+        orbit = [boundary_point(g.tg, top, low[len(top):])]
+        for _ in range(c.period - 1):
+            orbit.append(elem.apply_point(orbit[-1]))
+        out.extend((c, p) for p in orbit)
+    isolated = []
+    for c, p in att + rep:
+        if point_is_isolated(p) and p not in isolated:
+            isolated.append(p)
+            periods.append(c.period)
+
+    def listed(points):
+        return tuple(sorted({p for _, p in points if p not in isolated},
+                            key=lambda p: p.sort_key()))
+
+    return (listed(att), listed(rep),
+            tuple(sorted(isolated, key=lambda p: p.sort_key())),
+            math.lcm(*periods) if periods else 1)
+
+
+def collapse_one_at_a_time(pair):
+    """The pair with every attracting or repelling chain over single-point
+    balls made periodic, one chain per rebuild: slide the first such
+    chain's far end back to its base vertex, rebuild the pair and its
+    chains, and repeat until none is left."""
+    from vtrees import chains
+    from vtrees.element import TreePair
+
+    tg = pair.tg
+    while True:
+        kappa = pair.leaf_map()
+        for c in chains(pair):
+            if (c.kind in ("attracting", "repelling")
+                    and tg.is_singleton_type(tg.type_at(c.start))):
+                if c.kind == "attracting":
+                    kappa[c.vertices[-2]] = c.start
+                else:
+                    kappa[c.end] = kappa.pop(c.start)
+                pair = TreePair.from_map(tg, kappa)
+                break
+        else:
+            return pair

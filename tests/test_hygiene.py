@@ -16,6 +16,10 @@
   ``Element.inverse``) call neither ``type_at`` nor ``interior_vertices``:
   they carry types down from parents, and a walk from the root per vertex
   would make a build superlinear.
+- ``revealing.py`` reads a pair's chains instead of walking them again:
+  ``_roll_once`` calls no ``leaf_map``, ``_report`` neither ``apply_point``
+  nor ``inverse``, and ``chains`` sorts nothing, since the pair holds its
+  leaves in order.
 - No function in ``element.py`` or ``treespace.py`` calls itself: trees
   and clopen tries grow as deep as the exponents of the powers taken, so
   they use explicit stacks.
@@ -160,9 +164,10 @@ PAIR_BUILDERS = ("shape_from_leaves", "ordered_tree", "pair_from_ordered",
                  "parse_pair", "reduce", "reduce_map", "Element.inverse")
 
 
-def root_walk_calls(source: str, names) -> dict:
-    """The ``type_at``/``interior_vertices`` calls of each named function
-    (``f`` or ``Class.method``), nested functions included."""
+def named_calls(source: str, names, callees) -> dict:
+    """The calls of each named function (``f`` or ``Class.method``),
+    nested functions included, to the functions or methods ``callees``
+    names."""
     found = {}
     for top in ast.parse(source).body:
         defs = [(top.name, top)] if isinstance(top, ast.FunctionDef) else []
@@ -175,12 +180,12 @@ def root_walk_calls(source: str, names) -> dict:
                     getattr(n.func, "id", None) or n.func.attr
                     for n in ast.walk(node) if isinstance(n, ast.Call)
                     and {getattr(n.func, "id", None),
-                         getattr(n.func, "attr", None)} & set(ROOT_WALKS))
+                         getattr(n.func, "attr", None)} & set(callees))
     return found
 
 
 def test_root_walk_calls_are_detected():
-    assert root_walk_calls(
+    assert named_calls(
         "def f(tg, v):\n"
         "    def g(u):\n"
         "        return tg.type_at(u)\n"
@@ -189,14 +194,36 @@ def test_root_walk_calls_are_detected():
         "    def m(self):\n"
         "        return self.tg.type_at(())\n"
         "def h(tg):\n"
-        "    return tg.type_at(())\n", ("f", "C.m")) == {
+        "    return tg.type_at(())\n", ("f", "C.m"), ROOT_WALKS) == {
             "f": ["interior_vertices", "type_at"], "C.m": ["type_at"]}
 
 
 def test_pair_builders_walk_no_root_paths():
     source = (SRC / "element.py").read_text(encoding="utf-8")
-    assert root_walk_calls(source, PAIR_BUILDERS) == {
+    assert named_calls(source, PAIR_BUILDERS, ROOT_WALKS) == {
         name: [] for name in PAIR_BUILDERS}
+
+
+def test_other_named_calls_are_detected():
+    assert named_calls(
+        "def chains(pair):\n"
+        "    out = sorted(pair.domain_leaves)\n"
+        "    out.sort()\n"
+        "    return out, pair.leaf_map()\n"
+        "def _report(g, x):\n"
+        "    return g.inverse().apply_point(x), inverse\n",
+        ("chains", "_report"), ("sorted", "sort", "apply_point", "inverse")) == {
+            "chains": ["sort", "sorted"], "_report": ["apply_point", "inverse"]}
+
+
+READS = {"_roll_once": ("leaf_map",), "_report": ("apply_point", "inverse"),
+         "chains": ("sorted", "sort")}
+
+
+def test_revealing_reads_its_own_chains():
+    source = (SRC / "revealing.py").read_text(encoding="utf-8")
+    assert {name: named_calls(source, (name,), callees)[name]
+            for name, callees in READS.items()} == dict.fromkeys(READS, [])
 
 
 def self_calls(source: str) -> list:

@@ -30,7 +30,7 @@ from vtrees import (
     reveal,
 )
 import vtrees.revealing as revealing
-from vtrees.element import expand_pair
+from vtrees.element import TreePair, expand_pair
 from vtrees.revealing import report_from_revealing
 from vtrees.treespace import is_prefix
 
@@ -38,6 +38,8 @@ from conftest import BINARY_SPEC, RAY_SPEC, WIDE_SPEC, sample_elements
 from oracles import (
     binary_helpers,
     brute_force_order_search,
+    collapse_one_at_a_time,
+    iterated_periodic_points,
     revealing_oracle,
     scanned_power_bound,
     wide_helpers,
@@ -417,6 +419,119 @@ def test_the_fake_chain_pass_runs_on_the_ray_tree(monkeypatch, ray, binary):
 
 
 # ---------------------------------------------------------------------------
+# Periodic points and the fake-chain collapse, read off the chains
+
+
+def slid_down(pair, ks):
+    """The pair with its i-th periodic chain over single-point balls slid
+    down its ray by ``ks[i]`` steps, which undoes a collapse: for k > 0 the
+    chain's last vertex maps to the k-th vertex below its start, a fake
+    attracting chain, and for k < 0 that vertex replaces the start as a
+    domain leaf, a fake repelling chain.  k = 0 leaves the chain alone."""
+    tg = pair.tg
+    kappa = pair.leaf_map()
+    single = [c for c in chains(pair) if c.kind == "periodic"
+              and tg.is_singleton_type(tg.type_at(c.start))]
+    for c, k in zip(single, ks):
+        below = c.start + (0,) * abs(k)
+        if k > 0:
+            kappa[c.end] = below
+        elif k < 0:
+            kappa[below] = kappa.pop(c.start)
+    return TreePair.from_map(tg, kappa)
+
+
+def fake_chains(pair):
+    tg = pair.tg
+    return [c for c in chains(pair) if c.kind in ("attracting", "repelling")
+            and tg.is_singleton_type(tg.type_at(c.start))]
+
+
+def revealing_expansions(pair, seed, count):
+    """The pair after up to ``count`` seeded caret expansions, each kept
+    only when the expanded pair is still revealing."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = expand_pair(pair, rng.choice(pair.domain_leaves))
+        if is_revealing(p):
+            pair = p
+    return pair
+
+
+def assert_points_are_the_iterated_orbits(g, pair):
+    rep = report_from_revealing(g, pair)
+    assert (rep.attracting_periodic, rep.repelling_periodic, rep.isolated,
+            rep.isometric_power) == iterated_periodic_points(g, chains(pair))
+
+
+@settings(database=None, derandomize=True, max_examples=150, deadline=None)
+@given(tree=st.sampled_from(sorted(TREES)), size=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32), expansions=st.integers(0, 3),
+       ks=st.lists(st.integers(-3, 3), max_size=4))
+def test_periodic_points_are_the_iterated_orbits(tree, size, seed,
+                                                 expansions, ks):
+    # binary and wide pairs hold attracting and repelling cycles of period
+    # 1 and 2 or more; slid ray pairs hold fake ones over isolated points
+    g = random_element(TREES[tree], size, seed)
+    pair = revealing_expansions(reveal(g).pair, seed, expansions)
+    assert_points_are_the_iterated_orbits(g, slid_down(pair, ks))
+
+
+@pytest.mark.parametrize("tree, leaf_map, kinds", [
+    # 01 -> 00 -> 010 attracting, 11 -> 1 repelling
+    ("binary", {(0, 0): (0, 1, 0), (0, 1): (0, 0), (1, 0): (0, 1, 1),
+                (1, 1): (1,)}, {"attracting": 2, "repelling": 1}),
+    # 01 -> 10 -> 0 repelling, 11 -> 110 attracting
+    ("binary", {(0, 0): (1, 1, 1), (0, 1): (1, 0), (1, 0): (0,),
+                (1, 1): (1, 1, 0)}, {"attracting": 1, "repelling": 2}),
+    # the first one with a caret at 01: 00 -> 010 -> 000 attracting
+    ("binary", {(0, 0): (0, 1, 0), (0, 1, 0): (0, 0, 0), (0, 1, 1): (0, 0, 1),
+                (1, 0): (0, 1, 1), (1, 1): (1,)},
+     {"attracting": 2, "repelling": 1}),
+    # 01 -> 1 -> 010 attracting over the isolated points 010^inf, 10^inf
+    ("ray", {(0, 0): (0, 0), (0, 1): (1,), (1,): (0, 1, 0)},
+     {"attracting": 2}),
+    # 0100 -> 1 -> 01 repelling over the same two points
+    ("ray", {(0, 0): (0, 0), (0, 1, 0, 0): (1,), (1,): (0, 1)},
+     {"repelling": 2}),
+])
+def test_hand_built_cycles_of_period_two(tree, leaf_map, kinds):
+    pair = TreePair.from_map(TREES[tree], leaf_map)
+    assert {c.kind: c.period for c in chains(pair)
+            if c.kind in ("attracting", "repelling")} == kinds
+    assert_points_are_the_iterated_orbits(make_element(pair), pair)
+
+
+def assert_one_edit_collapses_every_fake_chain(size, seed, ks):
+    pair = reveal(random_element(TREES["ray"], size, seed)).pair
+    slid = slid_down(pair, ks)
+    got = revealing._collapse_fake_chains(slid)
+    assert got == collapse_one_at_a_time(slid) == pair
+    assert fake_chains(got) == []
+    return fake_chains(slid)
+
+
+@settings(database=None, derandomize=True, max_examples=120, deadline=None)
+@given(size=st.integers(4, 16), seed=st.integers(0, 2 ** 32),
+       ks=st.lists(st.sampled_from([-3, -2, -1, 1, 2, 3]), min_size=2,
+                   max_size=4))
+def test_one_edit_collapses_every_fake_chain(size, seed, ks):
+    assert_one_edit_collapses_every_fake_chain(size, seed, ks)
+
+
+def test_the_collapse_meets_several_fake_chains():
+    # a fixed sweep that holds pairs with two or three fake chains,
+    # attracting and repelling ones, and cycles of period 2
+    seen = set()
+    for seed in range(30):
+        fakes = assert_one_edit_collapses_every_fake_chain(8, seed,
+                                                           (2, -1, 1, -3))
+        seen.add(len(fakes) >= 2)
+        seen.update((c.kind, c.period) for c in fakes)
+    assert {True, ("attracting", 2), ("repelling", 2)} <= seen
+
+
+# ---------------------------------------------------------------------------
 # Ellipticity and order
 
 
@@ -557,3 +672,21 @@ def test_recheck_rejects_a_trap_with_one_ball_removed(binary, wide, ray):
                         assert not recheck_hyp_certificate(
                             e, with_trap(cert, side, trap))
     assert invariant > 0
+
+
+def test_recheck_rebuilds_the_target_and_start(x0):
+    # start sets emptied, or N = 1 with full targets and traps, pass every
+    # inclusion but are not the sets the radius gives
+    _n, cert = hyp_power_bound(x0, dynamics(x0), Fraction(1, 8))
+    empty, full = ClopenSet.empty(x0.tg), ClopenSet.full(x0.tg)
+
+    def forged(**fields):
+        return dataclasses.replace(
+            cert, n=fields.pop("n", cert.n),
+            forward=dataclasses.replace(cert.forward, **fields),
+            backward=dataclasses.replace(cert.backward, **fields))
+
+    assert recheck_hyp_certificate(x0, cert)
+    assert recheck_hyp_certificate(x0, forged())
+    assert not recheck_hyp_certificate(x0, forged(start=empty))
+    assert not recheck_hyp_certificate(x0, forged(n=1, target=full, trap=full))

@@ -5,9 +5,11 @@ fake-chain pass; a translation search reads each level tuple's rows once
 per level; the two contractions of one ping-pong construction share their
 power squarings, and at equal radii there is one contraction; a parsed
 pair text is walked once per side, and a reduced pair is not rebuilt; a
-power-bound trap is computed, not found by a scan over refinements.  The
-counts are exact and repeat, and the ``apply_point`` and ``apply_clopen``
-counts show that the point and image work is unchanged."""
+power-bound trap is computed, not found by a scan over refinements; a roll
+grafts at a vertex of the chains it is handed, and the periodic points are
+read off the chains, with no leaf map, inverse or point image.  The counts
+are exact and repeat, and the ``apply_point`` and ``apply_clopen`` counts
+show that the point and image work is unchanged."""
 
 from fractions import Fraction
 
@@ -18,9 +20,9 @@ import vtrees.element as element_module
 import vtrees.revealing as revealing
 import vtrees.subgroup as subgroup
 from vtrees import (ClopenSet, Element, build_pingpong, compose, dichotomy,
-                    dynamics, format_element, hyp_power_bound, is_elliptic,
-                    make_element, parse_element)
-from vtrees.element import expand_pair
+                    dynamics, element_from_map, format_element,
+                    hyp_power_bound, is_elliptic, make_element, parse_element)
+from vtrees.element import TreePair, expand_pair
 
 
 @pytest.fixture
@@ -125,3 +127,26 @@ def test_a_power_bound_trap_is_computed_not_scanned(monkeypatch, x0):
     assert (n, cert.forward.steps, cert.backward.steps) == (138, 138, 138)
     assert subset == {"subset_of": 2 * 141}
     assert images == {"apply_clopen": 2 * 139}
+
+
+def test_a_roll_reads_the_chains_it_is_given(monkeypatch, x0, x1, sigma):
+    # x0 x1 fails on the repeller side, x1 sigma on the attractor side
+    calls = counting(monkeypatch, TreePair, ["leaf_map"])
+    for g, side in ((compose(x0, x1), "repeller"),
+                    (compose(x1, sigma), "attractor")):
+        ch = revealing.chains(g.pair)
+        viol, _ = revealing._check_components(g.pair, ch)
+        assert viol[0] == side
+        calls.update(leaf_map=0)
+        revealing._roll_once(g.pair, *viol, ch)
+        assert calls == {"leaf_map": 0}
+
+
+def test_dynamics_makes_no_inverse_and_no_point_image(monkeypatch, x0, x1,
+                                                      sigma, ray):
+    # x1 sigma and x0 x1 roll once, and h swaps two isolated points
+    calls = counting(monkeypatch, Element, ["inverse", "apply_point"])
+    h = element_from_map(ray, {(0, 0): (0, 0), (0, 1): (1,), (1,): (0, 1)})
+    for g in (x0, compose(x1, sigma), compose(x0, x1), h):
+        dynamics(g)
+    assert calls == {"inverse": 0, "apply_point": 0}
