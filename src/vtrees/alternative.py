@@ -34,9 +34,8 @@ state, never a wrong certificate.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .treespace import (
     BoundaryPoint,
@@ -98,8 +97,7 @@ def _hyperbolic_points(reports: Iterable[DynamicsReport]) -> list:
 # Contraction elements
 
 
-@dataclass(frozen=True)
-class ProximalStage:
+class ProximalStage(NamedTuple):
     """One factor of a contraction element, with its exact set inclusion."""
 
     word: Word | None
@@ -110,8 +108,7 @@ class ProximalStage:
     allowed: ClopenSet        # after <= allowed was checked exactly
 
 
-@dataclass(frozen=True)
-class ProximalContraction:
+class ProximalContraction(NamedTuple):
     """An element h with h(X - B^eps) inside B^eps, B the hyperbolic points."""
 
     element: Element
@@ -304,8 +301,7 @@ def _first_moving_off(s: GeneratingSet, budget: int, a_points, b_points,
 # Ping-pong pairs
 
 
-@dataclass(frozen=True)
-class PingPongWitness:
+class PingPongWitness(NamedTuple):
     """Elements g, h and disjoint clopens with g(X-U1) <= V1, h(X-U2) <= V2."""
 
     g: Element
@@ -467,8 +463,7 @@ def _pingpong(run: _Run):
 # The dichotomy driver
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
+class DichotomyResult(NamedTuple):
     """Verdict of the driver: exactly one of the payloads is set unless the
     verdict is 'undecided', in which case diagnostics carry the frontier."""
 
@@ -636,7 +631,7 @@ class _Run:
             "stable_intersection": self.inter.ball_strs(),
             "contributor_words": [word_str(w) for w, _, _ in self.contributors],
             "candidate_points": [str(p) for p in self.candidates],
-            "budgets": asdict(self.budgets),
+            "budgets": self.budgets._asdict(),
             "caps": {"_BFS_NODE_CAP": revealing._BFS_NODE_CAP,
                      "_ROLL_CAP": revealing._ROLL_CAP,
                      "_ROUND_CAP": _ROUND_CAP,

@@ -15,8 +15,8 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 from .treespace import (
     ClopenSet,
@@ -76,8 +76,7 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
 
-@dataclass
-class Session:
+class Session(NamedTuple):
     """Everything one invocation runs with; same session, same outputs."""
 
     rng_seed: int
@@ -264,7 +263,7 @@ def _need_gens(tg: TypeGraph, args) -> GeneratingSet:
 
 
 def _budgets(args) -> Budgets:
-    return Budgets(**{f.name: getattr(args, f.name) for f in fields(Budgets)})
+    return Budgets._make(getattr(args, name) for name in Budgets._fields)
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +606,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--format", dest="fmt", choices=("json", "text"),
                         default="json")
-    for flag, f in zip(("words", "orbit", "depth", "steps", "closure"),
-                       fields(Budgets)):
-        parser.add_argument(f"--budget-{flag}", dest=f.name, type=int,
-                            default=f.default)
+    flags = ("words", "orbit", "depth", "steps", "closure")
+    for flag, (name, default) in zip(flags, Budgets._field_defaults.items()):
+        parser.add_argument(f"--budget-{flag}", dest=name, type=int,
+                            default=default)
     return parser
 
 

@@ -754,15 +754,23 @@ def builtin_generators(tg: TypeGraph) -> GeneratorFamily:
 # Random elements (test corpus generation)
 
 
+# The largest ``size`` random_element takes, so that no call runs unbounded.
+# At this bound one call takes 0.2-0.5 s on the binary, wide and ray trees
+# (median of 8 seeds, 2-core x86 host, CPython 3.11), and up to ~1.8 s for a
+# few ray-tree seeds: the ray tree's long paths make the cost superlinear.
+MAX_RANDOM_SIZE = 16_000
+
+
 def _random_leaves(tg: TypeGraph, carets: int, rng: random.Random) -> list:
     """The (leaf, type) pairs, in depth-first order, of a random complete
     subtree grown by ``carets`` uniform leaf expansions."""
-    cur = [((), tg.root_type)]  # sorted by leaf when drawn
+    # A leaf's children take its place in depth-first order, so the list
+    # stays sorted without a sort per caret.
+    cur = [((), tg.root_type)]
     for _ in range(carets):
-        cur.sort()
-        u, t = cur.pop(rng.randrange(len(cur)))
-        cur += ((u + (i,), c) for i, c in enumerate(tg.children[t]))
-    cur.sort()
+        k = rng.randrange(len(cur))
+        u, t = cur[k]
+        cur[k:k + 1] = [(u + (i,), c) for i, c in enumerate(tg.children[t])]
     return cur
 
 
@@ -775,13 +783,16 @@ def random_complete_shape(tg: TypeGraph, carets: int, rng: random.Random):
 def random_element(tg: TypeGraph, size: int, rng_or_seed) -> Element:
     """A random reduced element whose trees have at most ``size`` carets each.
 
-    Deterministic in the seed.  Raises ValueError when no type-compatible
-    leaf bijection could be sampled at any shape up to the requested size.
+    Deterministic in the seed.  Raises ValueError when ``size`` is outside
+    0..``MAX_RANDOM_SIZE``, or when no type-compatible leaf bijection could
+    be sampled at any shape up to the requested size.
     """
     rng = (rng_or_seed if isinstance(rng_or_seed, random.Random)
            else random.Random(rng_or_seed))
     if size < 0:
         raise ValueError("size must be >= 0")
+    if size > MAX_RANDOM_SIZE:
+        raise ValueError(f"size must be <= MAX_RANDOM_SIZE = {MAX_RANDOM_SIZE}")
     for _attempt in range(200):
         c = rng.randint(0, size)
         dom = _random_leaves(tg, c, rng)

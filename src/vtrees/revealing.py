@@ -31,8 +31,8 @@ part, where it belongs dynamically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .treespace import (
     Address,
@@ -64,8 +64,7 @@ class BudgetExceeded(RuntimeError):
     ``undecided``, the CLI exits 2), never a wrong result."""
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """A maximal orbit of the leaf bijection, with its classification.
 
     ``kind == "mixed"`` marks an orbit that fits none of the four standard
@@ -178,8 +177,7 @@ def is_revealing(pair: TreePair) -> bool:
     return _check_components(pair, chains(pair))[0] is None
 
 
-@dataclass(frozen=True)
-class RevealingPair:
+class RevealingPair(NamedTuple):
     """A revealing pair for an element, with its per-component certificate."""
 
     pair: TreePair
@@ -293,8 +291,7 @@ def reveal(g: Element, strategy: str = "rolling") -> RevealingPair:
 # Dynamics of one element
 
 
-@dataclass(frozen=True)
-class CycleData:
+class CycleData(NamedTuple):
     """One attracting chain: root vertex, its image end, the return period,
     and the contraction ratio of the return map on the root ball."""
 
@@ -304,8 +301,7 @@ class CycleData:
     ratio: Fraction
 
 
-@dataclass(frozen=True)
-class DynamicsReport:
+class DynamicsReport(NamedTuple):
     """The invariant clopen splitting and periodic data of one element.
 
     ``stable`` is the part where some positive power acts as the identity
@@ -407,8 +403,7 @@ def order(g: Element):
 # Exact power bounds for the hyperbolic part
 
 
-@dataclass(frozen=True)
-class HypDirection:
+class HypDirection(NamedTuple):
     """One direction of the power-bound certificate.
 
     ``trap`` is a forward-invariant clopen inside ``target``, and ``steps``
@@ -421,8 +416,7 @@ class HypDirection:
     steps: int
 
 
-@dataclass(frozen=True)
-class HypCertificate:
+class HypCertificate(NamedTuple):
     eps: Fraction
     n: int
     forward: HypDirection

@@ -13,15 +13,15 @@ a budget is an answer, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .treespace import (
     BoundaryPoint,
     ClopenSet,
     FormatError,
     TypeGraph,
+    _Frozen,
     address_str,
 )
 from .element import (
@@ -42,23 +42,33 @@ from . import revealing
 Word = tuple  # tuple[(name, +1 | -1), ...], rightmost letter acts first
 
 
-@dataclass(frozen=True)
-class Budgets:
-    """Explicit bounds for every semi-decidable search.  Every bound is
-    >= 0, and the orbit and closure sizes are >= 1: a smaller value raises
-    ValueError when the budgets are built."""
-
+class _BudgetFields(NamedTuple):
     word_length: int = 8
     orbit_size: int = 512
     expansion_depth: int = 12
     dovetail_steps: int = 10_000
     closure_size: int = 512
 
-    def __post_init__(self):
-        for f in fields(self):
-            least = 1 if f.name in ("orbit_size", "closure_size") else 0
-            if getattr(self, f.name) < least:
-                raise ValueError(f"budget {f.name} must be >= {least}")
+
+class Budgets(_BudgetFields):
+    """Explicit bounds for every semi-decidable search.  Every bound is
+    >= 0, and the orbit and closure sizes are >= 1: a smaller value raises
+    ValueError when the budgets are built, by the constructor or by
+    ``_make`` and ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            least = 1 if name in ("orbit_size", "closure_size") else 0
+            if value < least:
+                raise ValueError(f"budget {name} must be >= {least}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Budgets":
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +253,20 @@ def enumerate_elements(s: GeneratingSet, budget: int) -> Iterator[tuple]:
         frontier = new
 
 
-@dataclass(frozen=True)
-class GroupClosure:
+class GroupClosure(_Frozen):
     """A finite subgroup: its elements and their words, in shortlex order."""
+
+    # Not a NamedTuple: its _make and _replace check len(), which
+    # __len__ redefines here.
+    __slots__ = _fields = ("generating_set", "elements", "words")
 
     generating_set: GeneratingSet
     elements: tuple
     words: tuple
+
+    def __init__(self, generating_set: GeneratingSet, elements: tuple,
+                 words: tuple):
+        self._init(generating_set, elements, words)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -273,8 +290,7 @@ def finite_closure(s: GeneratingSet, bound: int) -> GroupClosure | None:
 # Common admissible partitions
 
 
-@dataclass(frozen=True)
-class AdmissiblePartition:
+class AdmissiblePartition(NamedTuple):
     """A partition of the boundary into balls, each contained in a domain
     leaf ball of every member of the group it was computed for."""
 
@@ -313,13 +329,19 @@ def common_admissible_partition(closure: GroupClosure) -> AdmissiblePartition:
 # Orbits
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(_Frozen):
     """A finite orbit, with a word mapping the seed to each point."""
+
+    # Not a NamedTuple: its _make and _replace check len(), which
+    # __len__ redefines here.
+    __slots__ = _fields = ("seed", "points", "words")
 
     seed: BoundaryPoint
     points: tuple  # sorted
     words: dict    # point -> Word
+
+    def __init__(self, seed: BoundaryPoint, points: tuple, words: dict):
+        self._init(seed, points, words)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -424,8 +446,7 @@ def _orbit_search(x: BoundaryPoint, s: GeneratingSet, bound: int,
 # Restriction to an invariant clopen
 
 
-@dataclass(frozen=True)
-class RestrictedElement:
+class RestrictedElement(_Frozen):
     """The transformation induced on an invariant clopen set.
 
     Stored as the element that agrees with g on the support and is the
@@ -435,8 +456,14 @@ class RestrictedElement:
     partial antichain pair over the support.
     """
 
+    # Not a tuple: ``2 * r`` would fall through to tuple repetition.
+    __slots__ = _fields = ("support", "extension")
+
     support: ClopenSet
     extension: Element
+
+    def __init__(self, support: ClopenSet, extension: Element):
+        self._init(support, extension)
 
     def _check(self, other: "RestrictedElement") -> None:
         if self.support != other.support:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -194,11 +193,58 @@ def is_prefix(a: Address, b: Address) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Immutable slotted values
+
+
+class _Frozen:
+    """Base of the immutable slotted classes, the records that would
+    misbehave as tuples.
+
+    ``_fields`` names the constructor's arguments in order.  Equality,
+    hash, ``repr`` and copies go by them, as for the NamedTuple records.
+    Assigning or deleting an attribute raises AttributeError, so
+    ``__init__`` sets the fields through ``object.__setattr__`` or the
+    slots' own setters.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self._fields, self._values())) + ")"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+# ---------------------------------------------------------------------------
 # Boundary points
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(_Frozen):
     """An eventually periodic end, in canonical (prefix, cycle) form.
 
     Use :func:`boundary_point` to construct one; the constructor assumes its
@@ -212,6 +258,7 @@ class BoundaryPoint:
     # Slotted, with the hash made once: the orbit and translation searches
     # build and hash points in their innermost loops.
     __slots__ = ("tg", "prefix", "cycle", "_hash")
+    _fields = ("tg", "prefix", "cycle")
 
     tg: TypeGraph
     prefix: Address
@@ -222,9 +269,6 @@ class BoundaryPoint:
         _set_prefix(self, prefix)
         _set_cycle(self, cycle)
         _set_hash(self, hash((tg, prefix, cycle)))
-
-    def __reduce__(self):
-        return BoundaryPoint, (self.tg, self.prefix, self.cycle)
 
     def index_at(self, n: int) -> int:
         if n < len(self.prefix):
@@ -590,12 +634,19 @@ def _node_fill(shape, subs: Sequence):
             rows[-1].append(node)
 
 
-@dataclass(frozen=True)
-class ClopenSet:
+class ClopenSet(_Frozen):
     """A finite union of balls of the boundary, in canonical trie form."""
+
+    # Slotted, so the many sets the Boolean algebra builds stay small; not a
+    # tuple, whose own comparisons would walk the trie recursively.
+    __slots__ = _fields = ("tg", "node")
 
     tg: TypeGraph
     node: object  # True | False | nested tuples
+
+    def __init__(self, tg: TypeGraph, node: object):
+        _set_clopen_tg(self, tg)
+        _set_node(self, node)
 
     @staticmethod
     def empty(tg: TypeGraph) -> "ClopenSet":
@@ -646,7 +697,7 @@ class ClopenSet:
         return (isinstance(other, ClopenSet) and self.tg == other.tg
                 and not _node_combine(self.node, other.node, _XOR, True))
 
-    def __hash__(self) -> int:  # the dataclass hash would recurse the trie
+    def __hash__(self) -> int:  # hashing the field tuple would recurse the trie
         h, stack = hash(self.tg), [self.node]
         while stack:
             node = stack.pop()
@@ -715,7 +766,7 @@ class ClopenSet:
     def ball_strs(self) -> list:
         return [address_str(a) for a in self.balls()]
 
-    def __repr__(self) -> str:  # the dataclass repr would recurse the trie
+    def __repr__(self) -> str:  # the fields' repr would recurse the trie
         return f"ClopenSet({self.tg!r}, balls={self.ball_strs()!r})"
 
     def __str__(self) -> str:
@@ -724,6 +775,10 @@ class ClopenSet:
         if self.is_all():
             return "{<all>}"
         return "{" + ", ".join(self.ball_strs()) + "}"
+
+
+_set_clopen_tg, _set_node = (
+    ClopenSet.__dict__[name].__set__ for name in ClopenSet.__slots__)
 
 
 def epsilon_neighborhood(tg: TypeGraph, points: Iterable[BoundaryPoint],

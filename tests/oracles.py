@@ -31,7 +31,9 @@ different routes to the same value:
   power bound N by iterating images until they enter that trap;
 - the periodic points of a revealing pair, by iterating the element (its
   inverse on repelling chains) from one point per chain, and the collapse
-  of fake chains, one chain per rebuilt pair.
+  of fake chains, one chain per rebuilt pair;
+- the leaves of a random complete tree, sorting the leaf list before each
+  caret is drawn.
 """
 
 from __future__ import annotations
@@ -735,3 +737,16 @@ def collapse_one_at_a_time(pair):
                 break
         else:
             return pair
+
+
+def sorted_random_leaves(tg, carets: int, rng) -> list:
+    """The (leaf, type) pairs of a random complete subtree grown by
+    ``carets`` uniform leaf expansions: the leaf list is sorted before each
+    draw, and the drawn leaf's children are appended at its end."""
+    cur = [((), tg.root_type)]
+    for _ in range(carets):
+        cur.sort()
+        u, t = cur.pop(rng.randrange(len(cur)))
+        cur += ((u + (i,), c) for i, c in enumerate(tg.children[t]))
+    cur.sort()
+    return cur

@@ -341,6 +341,13 @@ def test_a_radius_past_the_exponent_bound_exits_3(files, capsys, command, eps):
     assert code == 3 and out == "" and "MAX_EPS_EXPONENT = 60000" in err
 
 
+@pytest.mark.parametrize("size", ["16001", "100000000"])
+def test_a_random_size_past_its_bound_exits_3(files, capsys, size):
+    code, out, err = run_cli(["random-element", "--tree",
+                              str(files / "binary.json"), "--size", size], capsys)
+    assert code == 3 and out == "" and "MAX_RANDOM_SIZE = 16000" in err
+
+
 @pytest.mark.parametrize("root", ['["b"]', '{"b": 1}', "5", "null"])
 def test_malformed_type_graph_root_exits_3(files, capsys, tmp_path, root):
     tree = tmp_path / "tree.json"

@@ -46,6 +46,7 @@ from oracles import (
     compose_strmaps,
     ray_helpers,
     reduce_strmap,
+    sorted_random_leaves,
     strmap_is_identity,
     to_strmap,
     wide_helpers,
@@ -589,6 +590,26 @@ def test_random_element_size_bound(binary, wide):
             # reduction can only shrink the sampled trees
             assert shape_caret_count(e.pair.domain) <= 4
             assert shape_caret_count(e.pair.range) <= 4
+
+
+@pytest.mark.parametrize("tree", ["binary", "wide", "ray"])
+def test_random_leaves_equal_a_sort_per_caret(tree, binary, wide, ray):
+    tg = {"binary": binary, "wide": wide, "ray": ray}[tree]
+    for seed in range(40):
+        carets = seed * 3
+        assert element_module._random_leaves(tg, carets, random.Random(seed)) \
+            == sorted_random_leaves(tg, carets, random.Random(seed))
+
+
+def test_random_element_refuses_a_size_past_its_bound(binary, monkeypatch):
+    assert element_module.MAX_RANDOM_SIZE == 16_000
+    for size in (16_001, 100_000_000):
+        with pytest.raises(ValueError, match="MAX_RANDOM_SIZE = 16000"):
+            random_element(binary, size, 0)
+    monkeypatch.setattr(element_module, "MAX_RANDOM_SIZE", 3)
+    assert shape_caret_count(random_element(binary, 3, 1).pair.domain) <= 3
+    with pytest.raises(ValueError, match="MAX_RANDOM_SIZE = 3"):
+        random_element(binary, 4, 1)
 
 
 def test_random_element_respects_types(ray):

@@ -34,11 +34,19 @@
   API, and README names every public name that is removed.
 - Every exported name is reached: another module of the library reads it,
   or perfbench, README or the acceptance tests name it.
+- A fresh ``import vtrees.cli`` loads neither ``dataclasses`` nor
+  ``inspect``: the records are NamedTuples and slotted classes, so a
+  ``vtrees`` process starts without building dataclasses.
 """
 
 import ast
+import json
 import pathlib
 import re
+import subprocess
+import sys
+
+from conftest import child_env
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "vtrees"
@@ -473,3 +481,16 @@ def test_every_export_is_reached():
     # README's list of removed names counts as naming them, so a removed
     # name exported again unused would pass
     assert unreached_names(names, sources, texts) == []
+
+
+def test_a_fresh_cli_import_loads_no_dataclasses_or_inspect():
+    # compared with the same interpreter before the import, because site
+    # preloads different modules on different hosts
+    code = ("import sys; before = set(sys.modules); import vtrees.cli; "
+            "import json; print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    added = json.loads(proc.stdout)
+    assert "vtrees.cli" in added
+    assert {"dataclasses", "inspect"} & set(added) == set()

@@ -7,7 +7,6 @@ canonical form and against the string-map image.
 """
 
 import copy
-import dataclasses
 import pickle
 
 import pytest
@@ -112,12 +111,11 @@ def test_point_equality_and_hash():
 def test_point_public_form_is_unchanged():
     tg = TypeGraph({"b": ["b", "b"]}, "b")
     x = boundary_point(tg, (0, 1, 0), (0, 0))
-    assert [f.name for f in dataclasses.fields(BoundaryPoint)] == \
-        ["tg", "prefix", "cycle"]
+    assert BoundaryPoint._fields == ("tg", "prefix", "cycle")
     assert str(x) == "01(0)^inf"
     assert repr(x) == f"BoundaryPoint(tg={tg!r}, prefix=(0, 1), cycle=(0,))"
     assert x.sort_key() == ((0, 1), (0,))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         x.prefix = ()
 
 

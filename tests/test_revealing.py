@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -640,7 +639,7 @@ def test_computed_traps_equal_the_refinement_scan(tree, seed, carets, m):
 
 def with_trap(cert, side, trap):
     d = getattr(cert, side)
-    return dataclasses.replace(cert, **{side: dataclasses.replace(d, trap=trap)})
+    return cert._replace(**{side: d._replace(trap=trap)})
 
 
 def test_recheck_rejects_emptied_traps(x0):
@@ -681,10 +680,10 @@ def test_recheck_rebuilds_the_target_and_start(x0):
     empty, full = ClopenSet.empty(x0.tg), ClopenSet.full(x0.tg)
 
     def forged(**fields):
-        return dataclasses.replace(
-            cert, n=fields.pop("n", cert.n),
-            forward=dataclasses.replace(cert.forward, **fields),
-            backward=dataclasses.replace(cert.backward, **fields))
+        return cert._replace(
+            n=fields.pop("n", cert.n),
+            forward=cert.forward._replace(**fields),
+            backward=cert.backward._replace(**fields))
 
     assert recheck_hyp_certificate(x0, cert)
     assert recheck_hyp_certificate(x0, forged())
