@@ -86,11 +86,12 @@ def typed_leaves(tg: TypeGraph, shape) -> tuple:
 
 
 def shape_at(shape, address: Address):
-    """Subshape at a relative address; None once a leaf is reached."""
+    """Subshape at a relative address, or the leaf reached on the way to it:
+    None in a shape, True or False in a clopen trie."""
     node = shape
     for i in address:
-        if node is None:
-            return None
+        if node.__class__ is not tuple:
+            return node
         node = node[i]
     return node
 
@@ -243,7 +244,7 @@ class TreePair:
     """
 
     __slots__ = ("tg", "domain", "range", "perm", "domain_leaves",
-                 "range_leaves", "domain_types", "range_types", "_hash")
+                 "range_leaves", "domain_types", "range_types")
 
     def __init__(self, tg: TypeGraph, domain, range_, perm: Sequence[int]):
         """The pair of two shapes from outside the library: their leaves
@@ -272,7 +273,6 @@ class TreePair:
                     f"leaf {address_str(u)!r} (type {t!r}) cannot be paired with "
                     f"{address_str(range_leaves[pi])!r} (type "
                     f"{range_types[pi]!r}): subtrees are not order-isomorphic")
-        self._hash = hash((tg, domain, range_, perm))
 
     @staticmethod
     def from_map(tg: TypeGraph, mapping: Mapping[Address, Address]) -> "TreePair":
@@ -288,8 +288,8 @@ class TreePair:
                 and self.range_leaves == other.range_leaves
                 and self.perm == other.perm)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __hash__(self) -> int:  # the fields __eq__ compares: flat tuples
+        return hash((self.tg, self.domain_leaves, self.range_leaves, self.perm))
 
     def __repr__(self) -> str:
         return format_pair(self)
@@ -397,36 +397,45 @@ def cancel_carets(tg: TypeGraph, pairs: Iterable[tuple]) -> list:
     (a): a pair ``p + (a-1,) -> q + (a-1,)``, with p and q of arity a and
     ``p + (i,) -> q + (i,)`` on top of the stack, replaces them by ``p -> q``,
     while this applies.  Why that is the normal form: docs/dynamics_notes.md,
-    section 6.  Vertex types come from a table, each from its parent's.
+    section 6.  A pair that a move may change has its path typed once, into
+    a list indexed by depth, by one walk from the root along its address.
     """
     children = tg.children
     singletons = tg._singleton_types  # mostly empty: then u is not typed
-    types = {(): tg.root_type}
 
-    def type_of(v: Address) -> str:
-        k = len(v)  # the depth of the deepest typed ancestor
-        while v[:k] not in types:
-            k -= 1
-        t = types[v[:k]]
-        for j in range(k, len(v)):
-            if not 0 <= v[j] < len(children[t]):
+    def path_types(v: Address, n: int) -> list:
+        """The types of v[:0], ..., v[:n], from one walk down v."""
+        types = [tg.root_type]
+        for j in range(n):
+            cs = children[types[j]]
+            if not 0 <= v[j] < len(cs):
                 raise ValueError(f"index {v[j]} out of range at "
                                  f"{address_str(v[:j])!r}")
-            t = types[v[:j + 1]] = children[t][v[j]]
-        return t
+            types.append(cs[v[j]])
+        return types
+
+    def lifted(v: Address, types: list) -> Address:  # above arity-1 parents
+        k = len(v)
+        while k and len(children[types[k - 1]]) == 1:
+            k -= 1
+        return v[:k]
 
     out: list = []
     for u, w in pairs:
-        if singletons and type_of(u) in singletons:
-            while u and len(children[type_of(u[:-1])]) == 1:
-                u = u[:-1]
-            while w and len(children[type_of(w[:-1])]) == 1:
-                w = w[:-1]
+        tu = path_types(u, len(u)) if singletons else None
+        tw = None
+        if tu and tu[-1] in singletons:
+            tw = path_types(w, len(w) - 1)
+            u, w = lifted(u, tu), lifted(w, tw)
         while u and w and u[-1] == w[-1]:
             p, q = u[:-1], w[:-1]
-            a = len(children[type_of(p)])
+            tu = tu or path_types(u, len(p))
+            a = len(children[tu[len(p)]])
             n = len(out) - a + 1  # where the siblings' entries start
-            if (u[-1] != a - 1 or n < 0 or len(children[type_of(q)]) != a
+            if u[-1] != a - 1 or n < 0:
+                break
+            tw = tw or path_types(w, len(q))
+            if (len(children[tw[len(q)]]) != a
                     or out[n:] != [(p + (i,), q + (i,)) for i in range(a - 1)]):
                 break
             del out[n:]
@@ -460,8 +469,7 @@ class Element:
         return (p.domain_leaves, p.range_leaves, p.perm)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Element) and self.tg == other.tg
-                and self.pair == other.pair)
+        return isinstance(other, Element) and self.pair == other.pair
 
     def __hash__(self) -> int:
         return hash(self.pair)
@@ -546,7 +554,7 @@ class Element:
         # the part of c below each domain leaf, at its range leaf's index
         subs = [None] * len(p.perm)
         for u, j in zip(p.domain_leaves, p.perm):
-            subs[j] = _trie_at(c.node, u)
+            subs[j] = shape_at(c.node, u)
         return ClopenSet(self.tg, _node_fill(p.range, subs))
 
     def __call__(self, x):
@@ -555,14 +563,6 @@ class Element:
         if isinstance(x, ClopenSet):
             return self.apply_clopen(x)
         raise TypeError(f"cannot apply an element to {type(x).__name__}")
-
-
-def _trie_at(node, address: Address):
-    for i in address:
-        if node is True or node is False:
-            return node
-        node = node[i]
-    return node
 
 
 def identity(tg: TypeGraph) -> Element:

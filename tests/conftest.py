@@ -1,5 +1,7 @@
 import os
 import random
+import resource
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -29,6 +31,37 @@ def child_env():
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ,
                 PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+
+
+# The limits of a child that ``run_vtrees_child`` starts: 2 GB of address
+# space and 60 s of CPU time.  They are set in the child before it starts
+# Python, so they bind the child alone: a run past them ends the child
+# (MemoryError, or SIGXCPU), never the test process.
+CHILD_AS_BYTES = 2 << 30
+CHILD_CPU_S = 60
+
+
+def _limit_child():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_BYTES, CHILD_AS_BYTES))
+    resource.setrlimit(resource.RLIMIT_CPU, (CHILD_CPU_S, CHILD_CPU_S))
+
+
+def run_vtrees_child(argv):
+    """Run ``python -m vtrees ARGV`` in a child under the limits above.
+
+    Returns (exit code, stdout, stderr, CPU seconds, peak RSS in kB).  The
+    code is negative when a signal ended the child; the CPU time (user and
+    system) and ``ru_maxrss`` are the child's own, read by ``os.wait4``."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen([sys.executable, "-m", "vtrees", *argv],
+                                stdout=out, stderr=err, env=child_env(),
+                                preexec_fn=_limit_child)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return (proc.returncode, out.read().decode(), err.read().decode(),
+                usage.ru_utime + usage.ru_stime, usage.ru_maxrss)
 
 
 def pytest_configure(config):

@@ -8,10 +8,15 @@ digit swaps, bad radii, negative budgets and duplicate generator names.
 escapes, that the exit code is 0, 2 or 3, and that stdout holds exactly one
 JSON document when the code is 0 or 2 (and nothing when it is 3).
 
-Only inputs whose work stays small run here: elements of at most four
-carets, radii down to 2^-6, and small explicit budgets for the searches.
-Inputs that scale the work (deep radii, large sizes and budgets) need
-limits that bind a child process, and are not drawn.
+Only inputs whose work stays small run in this process: elements of at
+most four carets, radii down to 2^-6, and small explicit budgets for the
+searches.  Inputs that scale the work need limits that bind a child
+process, so they are not drawn.  The child tier runs ``python -m vtrees``
+through ``conftest.run_vtrees_child``, under 2 GB of address space
+(``RLIMIT_AS``) and 60 s of CPU time (``RLIMIT_CPU``).  Its one input so far
+is a deep address on the ray tree: ``inverse``, ``compose``, ``reveal`` and
+``dynamics`` on a leaf 20 000 and 400 000 levels down end in exit 0 or 3,
+with CPU time and peak RSS growing at most linearly in the depth.
 """
 
 import json
@@ -30,7 +35,8 @@ from vtrees import (
 )
 from vtrees.cli import _COMMANDS, main
 
-from conftest import BINARY_SPEC, RAY_SPEC, WIDE_SPEC, random_end
+from conftest import (BINARY_SPEC, RAY_SPEC, WIDE_SPEC, random_end,
+                      run_vtrees_child)
 
 TREES = {"binary": BINARY_SPEC, "wide": WIDE_SPEC, "ray": RAY_SPEC}
 GRAPHS = {name: load_type_graph(spec) for name, spec in TREES.items()}
@@ -174,3 +180,36 @@ def test_every_invocation_ends_in_one_of_three_ways(workdir, capsys, drawn):
 
 def test_every_command_is_drawn():
     assert set(NEEDS) == set(_COMMANDS) and len(NEEDS) == 16
+
+
+DEEP_DEPTHS = (20_000, 400_000)
+DEEP_COMMANDS = ("inverse", "compose", "reveal", "dynamics")
+
+
+def test_deep_ray_addresses_end_at_linear_cost(tmp_path):
+    # the leaf 1 0^d lies d levels down the ray below vertex 1, so each
+    # parse walks d levels and the reduction lifts the leaf pair back up
+    tree = tmp_path / "ray.json"
+    tree.write_text(RAY_SPEC)
+    cpu, rss = {}, {}
+    for d in DEEP_DEPTHS:
+        leaf = "1" + "0" * d
+        element = tmp_path / f"deep{d}.txt"
+        element.write_text(
+            f"pair{{domain=[0,{leaf}], range=[0,{leaf}], perm=[0,1]}}\n")
+        cpu[d] = rss[d] = 0
+        for command in DEEP_COMMANDS:
+            argv = [command, "--tree", str(tree), "--element", str(element)]
+            if command == "compose":
+                argv += ["--element", str(element)]
+            code, out, err, cpu_s, rss_kb = run_vtrees_child(argv)
+            assert code in (0, 3), (d, command, code, err[-2000:])
+            if code == 0:
+                assert json.loads(out)["command"] == command
+            else:
+                assert out == ""
+            cpu[d] += cpu_s
+            rss[d] = max(rss[d], rss_kb)
+    small, large = DEEP_DEPTHS
+    assert cpu[large] <= cpu[small] * large / small, cpu
+    assert rss[large] <= rss[small] * large / small, rss
